@@ -12,9 +12,10 @@ Seven subcommands, mirroring how a network engineer would use the library:
   JSON over TCP, three-tier answer path; ``--smoke`` for a self-test).
 * ``bench-serve`` — closed-loop decisions/sec benchmark against an
   in-process server, one tier at a time.
-* ``chaos``    — deterministic fault-injection: against the campaign
-  runtime (default), or ``--target serve`` to prove poisoned/hung solves
-  degrade to conservative denies within the deadline.
+* ``chaos``    — deterministic fault-injection drills
+  (:mod:`repro.service.drills`): the campaign runtime by default, or
+  ``--target serve|fleet|overload|drain|reload`` against the admission
+  service; each prints its named invariants with measured values.
 
 Examples
 --------
@@ -39,8 +40,8 @@ subcommands reproduce paper numbers.
 Exit codes
 ----------
 ``0`` success; ``1`` partial or total failure (some replication failed, or
-the chaos verdict is a mismatch); ``2`` usage errors (bad arguments,
-missing files).
+a drill invariant broke — the verdict names it); ``2`` usage errors (bad
+arguments, missing files, a fault flag the chaos target does not inject).
 """
 
 from __future__ import annotations
@@ -161,21 +162,6 @@ def _hap_from_args(args: argparse.Namespace) -> HAP:
         num_message_types=args.message_types,
         name="cli",
     )
-
-
-def _service_params(args: argparse.Namespace):
-    """A 2-application-type parameter set for the serving subcommands.
-
-    The decision surfaces (and the paper's Section-7 admissible-region
-    study) are 2-D; a wider symmetric HAP is truncated to its first two
-    application types rather than rejected.
-    """
-    from dataclasses import replace
-
-    params = _hap_from_args(args).params
-    if params.num_app_types != 2:
-        params = replace(params, applications=params.applications[:2])
-    return params
 
 
 def _parse_delay_targets(spec: str) -> tuple[float, ...]:
@@ -420,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = commands.add_parser(
         "chaos",
-        help="fault-injection demo: injected kills/hangs/poisoned solver "
-        "rungs against the resilient campaign runtime",
+        help="fault-injection drills: injected kills/hangs/poisoned solver "
+        "rungs against the campaign runtime or the admission service",
     )
     _add_hap_arguments(chaos)
     chaos.add_argument("--horizon", type=float, default=2_000.0)
@@ -438,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SEED[:ATTEMPT]",
         help="kill the worker running SEED on ATTEMPT (default 1) with "
-        "os._exit; repeatable",
+        "os._exit (--target fleet: SIGKILL shard SEED); repeatable",
     )
     chaos.add_argument(
         "--delay",
@@ -446,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SEED:SECONDS[:ATTEMPT]",
         help="make SEED's job sleep SECONDS before running on ATTEMPT "
-        "(default 1) — with --timeout this is a hung job; repeatable",
+        "(default 1) — with --timeout this is a hung job (--target "
+        "serve/fleet: SEED is the service's request index); repeatable",
     )
     chaos.add_argument(
         "--poison",
@@ -472,40 +459,36 @@ def build_parser() -> argparse.ArgumentParser:
         "--target",
         choices=("campaign", "serve", "fleet", "overload", "drain", "reload"),
         default="campaign",
-        help="'campaign' (default) chaos-tests the replication runtime; "
-        "'serve' chaos-tests the admission service: poisoned rungs and "
-        "injected slow solves must degrade to conservative denies "
-        "within the deadline; 'fleet' SIGKILLs a shard of a sharded "
-        "fleet mid-load: survivors must keep answering conservatively "
-        "and the respawned shard must rejoin; 'overload' saturates the "
-        "solve path: excess requests must shed (instant conservative "
-        "denies), cached traffic must keep answering, oversized frames "
-        "must answer errors without killing the connection; 'drain' "
-        "SIGTERMs a loaded shard: every in-flight request must be "
-        "answered before it exits, then a rolling restart must keep a "
-        "multi-shard fleet answering with zero failures; 'reload' hot-"
-        "swaps the decision surfaces mid-load: every answer must come "
-        "from exactly one surface generation",
+        help="drill to run (repro.service.drills); each prints its named "
+        "invariants and exits 1 naming any that broke: 'campaign' "
+        "(default) kills, hangs and poisons the replication runtime; "
+        "'serve' poisons and hangs admission solves; 'fleet' SIGKILLs a "
+        "shard of a sharded fleet mid-load; 'overload' saturates the "
+        "solve path; 'drain' SIGTERMs a loaded shard, then rolls a "
+        "restart through a fleet; 'reload' hot-swaps the decision "
+        "surfaces mid-load.  A fault flag the drill does not inject is "
+        "a usage error",
     )
     chaos.add_argument(
         "--shards",
         type=int,
         default=2,
-        help="fleet size for --target fleet",
+        help="fleet size for the fleet, drain and reload drills",
     )
     chaos.add_argument(
         "--requests",
         type=int,
         default=6,
-        help="miss-tier queries to drive through the service "
-        "(--target serve only)",
+        help="miss-tier queries the serve, fleet, overload and drain "
+        "drills drive",
     )
     chaos.add_argument(
         "--deadline",
         type=float,
         default=1.5,
-        help="service solve deadline in seconds (--target serve only); "
-        "every answer, degraded or not, must land within it",
+        help="service solve deadline in seconds for the service drills; "
+        "every answer, degraded or not, must land within it plus a "
+        "scheduling margin",
     )
     return parser
 
@@ -744,802 +727,50 @@ def _command_simulate_campaign(args: argparse.Namespace, hap, out) -> int:
     return 0 if not campaign.failures else 1
 
 
-def _parse_kill(spec: str) -> tuple[int, int]:
-    """``"SEED"`` or ``"SEED:ATTEMPT"`` -> (seed, attempt)."""
-    parts = spec.split(":")
-    if len(parts) == 1:
-        return int(parts[0]), 1
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise ValueError(f"bad --kill spec {spec!r}; expected SEED[:ATTEMPT]")
-
-
-def _parse_delay(spec: str) -> tuple[int, int, float]:
-    """``"SEED:SECONDS"`` or ``"SEED:SECONDS:ATTEMPT"`` -> plan triple."""
-    parts = spec.split(":")
-    if len(parts) == 2:
-        return int(parts[0]), 1, float(parts[1])
-    if len(parts) == 3:
-        return int(parts[0]), int(parts[2]), float(parts[1])
-    raise ValueError(
-        f"bad --delay spec {spec!r}; expected SEED:SECONDS[:ATTEMPT]"
-    )
-
-
 def _command_chaos(args: argparse.Namespace, out) -> int:
-    """Fault-injection demo: prove the runtime recovers, bit for bit.
+    """Run the ``--target`` drill and print its verdict.
 
-    Runs the same replication campaign twice — fault-free, then under a
-    :class:`~repro.runtime.chaos.ChaosPlan` with retries enabled — and
-    verdicts whether the recovered statistics are bit-identical.  Poisoned
-    solver rungs are demonstrated against the analytic degradation chains
-    with their :class:`~repro.runtime.resilience.SolveDiagnostics` printed.
+    A fault flag the drill never injects is a usage error, so a verdict
+    can never pass for a fault that did not fire.
     """
-    from functools import partial
+    import asyncio
 
-    from repro.runtime import chaos
-    from repro.runtime.executor import ParallelReplicator
-    from repro.runtime.resilience import RetryPolicy
+    from repro.service.drills import DRILLS, UsageError, verdict
 
-    hap = _hap_from_args(args)
+    drill = DRILLS[args.target]
+    unread = [
+        f"--{flag}"
+        for flag in ("kill", "delay", "poison")
+        if getattr(args, flag) and flag not in drill.reads
+    ]
+    if unread:
+        print(
+            f"error: --target {args.target} injects no "
+            f"{' or '.join(unread)} fault",
+            file=out,
+        )
+        return 2
     try:
-        kills = tuple(_parse_kill(spec) for spec in (args.kill or ()))
-        delays = tuple(_parse_delay(spec) for spec in (args.delay or ()))
-    except ValueError as error:
+        invariants = asyncio.run(drill(_hap_from_args(args), args, out))
+    except UsageError as error:
         print(f"error: {error}", file=out)
         return 2
-    poisons = tuple(args.poison or ())
-    if args.target == "serve":
-        return _chaos_serve_demo(args, kills, delays, poisons, out)
-    if args.target == "fleet":
-        return _chaos_fleet_demo(args, kills, delays, poisons, out)
-    if args.target == "overload":
-        return _chaos_overload_demo(args, out)
-    if args.target == "drain":
-        return _chaos_drain_demo(args, out)
-    if args.target == "reload":
-        return _chaos_reload_demo(args, out)
-    if not (kills or delays or poisons):
-        # Bare `cli chaos`: kill one worker mid-campaign by default.
-        kills = ((args.seed + 1, 1),)
-    plan = chaos.ChaosPlan(kill=kills, delay=delays, poison=poisons)
-    print(
-        f"chaos plan           : kills={list(kills)} delays={list(delays)} "
-        f"poisons={list(poisons)}",
-        file=out,
-    )
-
-    status = 0
-    if poisons:
-        status = max(status, _chaos_poison_demo(hap, plan, out))
-    if kills or delays:
-        task = partial(
-            _simulation_task, hap.params, args.horizon, "legacy", None
-        )
-        clean = ParallelReplicator(max_workers=args.workers).run(
-            task, args.replications, base_seed=args.seed
-        )
-        policy = RetryPolicy(
-            max_attempts=max(1, args.retries + 1),
-            timeout=args.timeout,
-            backoff_base=0.05,
-        )
-        faulted = ParallelReplicator(max_workers=args.workers, policy=policy).run(
-            chaos.wrap(task, plan), args.replications, base_seed=args.seed
-        )
-        print(f"fault-free campaign  : {clean.describe()}", file=out)
-        print(f"chaos campaign       : {faulted.describe()}", file=out)
-        for failure in faulted.failures:
-            print(
-                f"failed replication   : seed {failure.seed}: {failure.error}",
-                file=out,
-            )
-        identical = (
-            faulted.results == clean.results and faulted.seeds == clean.seeds
-        )
-        if identical and not faulted.failures:
-            print(
-                "verdict              : recovered, statistics bit-identical "
-                "to the fault-free run",
-                file=out,
-            )
-        else:
-            print(
-                "verdict              : MISMATCH — recovery did not "
-                "reproduce the fault-free statistics",
-                file=out,
-            )
-            status = 1
-    return status
-
-
-def _chaos_serve_demo(args, kills, delays, poisons, out) -> int:
-    """Chaos-test the admission service: faults must deny, never hang.
-
-    Drives ``--requests`` miss-tier queries (each needs a live solve)
-    through a loopback service while the chaos plan poisons solver rungs
-    and injects slow solves (``--delay`` specs are keyed by *request
-    index* here, not replication seed).  With no faults given, both
-    defaults fire: the Solution-2 rung is poisoned AND request 0's solve
-    hangs past the deadline.  Verdict (exit 0) requires every request
-    answered within the deadline and every degraded answer to be a deny —
-    the service may refuse carriable traffic under faults, never admit
-    uncarriable traffic, never hang.
-    """
-    import asyncio
-    import time
-
-    from repro.runtime import chaos
-    from repro.service.client import AdmissionClient
-    from repro.service.server import AdmissionService, start_server
-    from repro.service.surfaces import build_decision_surfaces
-
-    if kills:
-        print(
-            "note                 : --kill has no serve-mode meaning "
-            "(no worker processes to kill); ignored",
-            file=out,
-        )
-    if not (delays or poisons):
-        poisons = ("admission-solve:solution2",)
-        delays = ((0, 1, args.deadline * 4.0),)
-    plan = chaos.ChaosPlan(delay=delays, poison=poisons)
-    print(
-        f"chaos plan           : delays={list(delays)} "
-        f"poisons={list(poisons)} deadline={args.deadline:g}s",
-        file=out,
-    )
-    surfaces = build_decision_surfaces(
-        _service_params(args), (0.1, 0.2), max_population=6, max_workers=1
-    )
-    print(f"surfaces             : {surfaces.describe()}", file=out)
-    miss_target = float(surfaces.delay_targets[-1]) * 3.0
-
-    async def drive() -> int:
-        service = AdmissionService(surfaces, solve_timeout=args.deadline)
-        server = await start_server(service)
-        host, port = server.sockets[0].getsockname()[:2]
-        answers = []
-        try:
-            with chaos.chaos_active(plan):
-                client = await AdmissionClient.open(host, port)
-                try:
-                    for index in range(args.requests):
-                        started = time.perf_counter()
-                        answer = await client.admit(
-                            float(index % (surfaces.max_population + 1)),
-                            1.0,
-                            miss_target,
-                        )
-                        elapsed = time.perf_counter() - started
-                        answers.append((answer, elapsed))
-                        print(
-                            f"request {index:<13}: tier={answer['tier']:<12} "
-                            f"admit={answer['admit']} "
-                            f"latency={elapsed * 1e3:.1f}ms",
-                            file=out,
-                        )
-                finally:
-                    await client.close()
-        finally:
-            server.close()
-            await server.wait_closed()
-            service.close()
-        # The deadline bounds the service-side solve; grant the client
-        # round-trip a scheduling margin on top.
-        margin = args.deadline + max(1.0, args.deadline)
-        hung = [e for _, e in answers if e > margin]
-        degraded = [a for a, _ in answers if a["tier"] == "degraded"]
-        degraded_admits = [a for a in degraded if a["admit"]]
-        ok = (
-            len(answers) == args.requests
-            and not hung
-            and degraded
-            and not degraded_admits
-        )
-        print(
-            f"verdict              : "
-            f"{len(answers)}/{args.requests} answered, "
-            f"{len(degraded)} degraded (all denies: "
-            f"{not degraded_admits}), {len(hung)} over deadline+margin — "
-            f"{'conservative degradation holds' if ok else 'FAULT HANDLING BROKEN'}",
-            file=out,
-        )
-        return 0 if ok else 1
-
-    return asyncio.run(drive())
-
-
-def _chaos_fleet_demo(args, kills, delays, poisons, out) -> int:
-    """Shard-kill chaos: the fleet keeps answering, conservatively.
-
-    Boots a ``--shards`` SO_REUSEPORT fleet with the Solution-2 rung
-    poisoned (so every miss degrades to a conservative deny), drives
-    ``--requests`` miss-tier queries, and SIGKILLs a shard halfway
-    through.  ``--kill`` specs name shard indexes here (not seeds).
-    Verdict (exit 0) requires every request answered within
-    deadline+margin, every degraded answer a deny, and the respawned
-    shard back in the fleet at the end — a dead shard may cost retries,
-    never a hang and never a loosened admit.
-    """
-    import asyncio
-    import time
-
-    from repro.runtime import chaos
-    from repro.service.client import AdmissionClient
-    from repro.service.sharded import ShardFleet
-    from repro.service.surfaces import build_decision_surfaces
-
-    if not poisons:
-        poisons = ("admission-solve:solution2",)
-    victims = sorted(
-        {seed for seed, _ in kills if 0 <= seed < args.shards}
-    ) or [0]
-    plan = chaos.ChaosPlan(delay=delays, poison=poisons)
-    print(
-        f"chaos plan           : kill shard(s) {victims}, "
-        f"poisons={list(poisons)} deadline={args.deadline:g}s",
-        file=out,
-    )
-    surfaces = build_decision_surfaces(
-        _service_params(args), (0.1, 0.2), max_population=6, max_workers=1
-    )
-    print(f"surfaces             : {surfaces.describe()}", file=out)
-    miss_target = float(surfaces.delay_targets[-1]) * 3.0
-    margin = args.deadline + max(1.0, args.deadline)
-
-    async def ask_with_retry(host, port, n1, n2, target):
-        # A connection riding the killed shard dies with a reset; the
-        # retry reconnects and the kernel re-balances to a live shard.
-        last_error = None
-        for _ in range(40):
-            try:
-                client = await AdmissionClient.open(host, port)
-                try:
-                    return await client.admit(n1, n2, target)
-                finally:
-                    await client.close()
-            except (ConnectionError, OSError) as error:
-                last_error = error
-                await asyncio.sleep(0.05)
-        raise ConnectionError(f"fleet unreachable: {last_error}")
-
-    async def drive(fleet) -> int:
-        host, port = fleet.address
-        answers = []
-        kill_at = max(1, args.requests // 2)
-        for index in range(args.requests):
-            if index == kill_at:
-                for victim in victims:
-                    pid = fleet.kill_shard(victim)
-                    print(
-                        f"killed               : shard {victim} (pid {pid})",
-                        file=out,
-                    )
-            started = time.perf_counter()
-            answer = await ask_with_retry(
-                host,
-                port,
-                float(index % (surfaces.max_population + 1)),
-                1.0,
-                miss_target,
-            )
-            elapsed = time.perf_counter() - started
-            answers.append((answer, elapsed))
-            print(
-                f"request {index:<13}: tier={answer['tier']:<12} "
-                f"admit={answer['admit']} latency={elapsed * 1e3:.1f}ms",
-                file=out,
-            )
-        rejoin_deadline = time.monotonic() + 30.0
-        while fleet.alive() < fleet.shards and time.monotonic() < rejoin_deadline:
-            await asyncio.sleep(0.1)
-        rejoined = fleet.alive() == fleet.shards
-        hung = [e for _, e in answers if e > margin]
-        degraded = [a for a, _ in answers if a["tier"] == "degraded"]
-        degraded_admits = [a for a in degraded if a["admit"]]
-        ok = (
-            len(answers) == args.requests
-            and not hung
-            and degraded
-            and not degraded_admits
-            and rejoined
-        )
-        print(
-            f"verdict              : {len(answers)}/{args.requests} "
-            f"answered, {len(degraded)} degraded (all denies: "
-            f"{not degraded_admits}), {len(hung)} over deadline+margin, "
-            f"respawn rejoined: {rejoined} — "
-            f"{'conservative fleet degradation holds' if ok else 'FAULT HANDLING BROKEN'}",
-            file=out,
-        )
-        return 0 if ok else 1
-
-    fleet = ShardFleet(
-        surfaces,
-        shards=args.shards,
-        solve_timeout=args.deadline,
-        chaos_plan=plan,
-    )
-    with fleet:
-        host, port = fleet.address
-        print(
-            f"fleet                : {args.shards} shards at {host}:{port}",
-            file=out,
-        )
-        return asyncio.run(drive(fleet))
-
-
-def _chaos_overload_demo(args, out) -> int:
-    """Saturate the solve path: excess load sheds, cached traffic flows.
-
-    Boots a loopback service with a deliberately tiny live-solve queue
-    (``max_inflight=2``, one solver thread) while a chaos wildcard delay
-    makes every live solve slow, then fires ``--requests`` miss-tier
-    queries concurrently alongside a stream of cached queries on another
-    connection, plus one oversized request frame followed by a valid
-    query on the same raw socket.  Verdict (exit 0) requires: every
-    query answered within deadline+margin (zero hangs), at least one
-    query shed, every shed answer a deny, every cached query answered
-    from the surface tier while the solver was saturated, and the
-    oversized frame answered with a structured error without killing its
-    connection.
-    """
-    import asyncio
-    import json
-    import time
-
-    from repro.runtime import chaos
-    from repro.service.client import AdmissionClient
-    from repro.service.server import (
-        AdmissionService,
-        OverloadPolicy,
-        start_server,
-    )
-    from repro.service.surfaces import build_decision_surfaces
-
-    slow = min(0.4, args.deadline / 2.0)
-    plan = chaos.ChaosPlan(delay=((chaos.ANY, 1, slow),))
-    print(
-        f"chaos plan           : every live solve sleeps {slow:g}s "
-        f"(wildcard seed), max_inflight=2, deadline={args.deadline:g}s",
-        file=out,
-    )
-    surfaces = build_decision_surfaces(
-        _service_params(args), (0.1, 0.2), max_population=6, max_workers=1
-    )
-    print(f"surfaces             : {surfaces.describe()}", file=out)
-    miss_target = float(surfaces.delay_targets[-1]) * 3.0
-    grid_target = float(surfaces.delay_targets[0])
-    margin = args.deadline + max(1.0, args.deadline)
-    requests = max(4, args.requests)
-
-    async def drive() -> int:
-        service = AdmissionService(
-            surfaces,
-            solve_timeout=args.deadline,
-            solver_workers=1,
-            overload=OverloadPolicy(max_inflight=2, max_line_bytes=4096),
-        )
-        server = await start_server(service)
-        host, port = server.sockets[0].getsockname()[:2]
-        try:
-            with chaos.chaos_active(plan):
-                miss_clients = [
-                    await AdmissionClient.open(host, port)
-                    for _ in range(requests)
-                ]
-                cached_client = await AdmissionClient.open(host, port)
-                started = time.perf_counter()
-                try:
-                    miss_calls = [
-                        asyncio.create_task(
-                            client.admit(
-                                float(i % (surfaces.max_population + 1)),
-                                1.0,
-                                miss_target,
-                            )
-                        )
-                        for i, client in enumerate(miss_clients)
-                    ]
-                    cached = []
-                    for _ in range(50):
-                        cached.append(
-                            await cached_client.admit(1.0, 1.0, grid_target)
-                        )
-                    answers = await asyncio.gather(*miss_calls)
-                finally:
-                    for client in (*miss_clients, cached_client):
-                        await client.close()
-                elapsed = time.perf_counter() - started
-            for index, answer in enumerate(answers):
-                print(
-                    f"miss {index:<16}: tier={answer['tier']:<12} "
-                    f"admit={answer['admit']} "
-                    f"latency={answer['latency_us'] / 1e3:.1f}ms",
-                    file=out,
-                )
-            # One oversized frame, then a valid one, on the same socket:
-            # the server must answer a structured error and resync.
-            reader, writer = await asyncio.open_connection(host, port)
-            try:
-                writer.write(
-                    b'{"op": "ping", "pad": "' + b"x" * 8192 + b'"}\n'
-                )
-                writer.write(json.dumps({"op": "ping"}).encode() + b"\n")
-                await writer.drain()
-                oversized = json.loads(await reader.readline())
-                followup = json.loads(await reader.readline())
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-            print(
-                f"oversized frame      : ok={oversized.get('ok')} "
-                f"error={oversized.get('error', '')!r}",
-                file=out,
-            )
-            print(
-                f"same-socket follow-up: pong={followup.get('pong')}",
-                file=out,
-            )
-        finally:
-            server.close()
-            await server.wait_closed()
-            service.close()
-        sheds = [a for a in answers if a["tier"] == "shed"]
-        shed_admits = [a for a in sheds if a["admit"]]
-        cached_misrouted = [a for a in cached if a["tier"] != "surface"]
-        resynced = (
-            oversized.get("ok") is False
-            and "error" in oversized
-            and followup.get("pong") is True
-        )
-        hung = elapsed > margin
-        ok = (
-            len(answers) == requests
-            and not hung
-            and bool(sheds)
-            and not shed_admits
-            and not cached_misrouted
-            and resynced
-        )
-        print(
-            f"verdict              : {len(answers)}/{requests} miss answers "
-            f"in {elapsed:.2f}s (margin {margin:g}s), {len(sheds)} shed "
-            f"(all denies: {not shed_admits}), {len(cached)} cached served "
-            f"from surface tier: {not cached_misrouted}, oversized-frame "
-            f"resync: {resynced} — "
-            f"{'load shedding holds' if ok else 'OVERLOAD HANDLING BROKEN'}",
-            file=out,
-        )
-        return 0 if ok else 1
-
-    return asyncio.run(drive())
-
-
-def _chaos_drain_demo(args, out) -> int:
-    """SIGTERM a loaded shard: every in-flight answer lands before exit.
-
-    Phase 1 boots a single-shard fleet (every connection pinned to the
-    shard being drained), parks ``--requests`` slow live solves in
-    flight, and SIGTERMs the shard via
-    :meth:`~repro.service.sharded.ShardFleet.drain_shard`.  The drain
-    must deliver every in-flight answer, the shard must exit cleanly,
-    and the supervisor must not respawn it.  Phase 2 boots a
-    ``--shards`` fleet and performs a rolling restart while a retrying
-    client drives cached load: zero queries may fail.
-    """
-    import asyncio
-    import time
-
-    from repro.runtime import chaos
-    from repro.runtime.resilience import RetryPolicy
-    from repro.service.client import (
-        AdmissionClient,
-        generate_queries,
-        run_load,
-    )
-    from repro.service.sharded import ShardFleet
-    from repro.service.surfaces import build_decision_surfaces
-
-    surfaces = build_decision_surfaces(
-        _service_params(args), (0.1, 0.2), max_population=6, max_workers=1
-    )
-    print(f"surfaces             : {surfaces.describe()}", file=out)
-    miss_target = float(surfaces.delay_targets[-1]) * 3.0
-    requests = max(2, args.requests)
-    slow = min(0.5, args.deadline / 2.0)
-    plan = chaos.ChaosPlan(delay=((chaos.ANY, 1, slow),))
-    print(
-        f"chaos plan           : every live solve sleeps {slow:g}s "
-        f"(wildcard seed), deadline={args.deadline:g}s",
-        file=out,
-    )
-
-    async def inflight_phase(fleet) -> bool:
-        host, port = fleet.address
-        clients = [
-            await AdmissionClient.open(host, port) for _ in range(requests)
-        ]
-        try:
-            calls = [
-                asyncio.create_task(
-                    client.admit(
-                        float(i % (surfaces.max_population + 1)),
-                        1.0,
-                        miss_target,
-                    )
-                )
-                for i, client in enumerate(clients)
-            ]
-            # Give every request time to reach the shard and park on the
-            # solver, then SIGTERM it mid-flight.
-            await asyncio.sleep(slow / 2.0)
-            loop = asyncio.get_running_loop()
-            drained = loop.run_in_executor(None, fleet.drain_shard, 0)
-            answers = await asyncio.gather(*calls, return_exceptions=True)
-            clean = await drained
-        finally:
-            for client in clients:
-                await client.close()
-        await asyncio.sleep(1.0)  # two monitor ticks: a respawn would land
-        lost = [a for a in answers if isinstance(a, BaseException)]
-        delivered = [a for a in answers if not isinstance(a, BaseException)]
-        respawned = fleet.alive() != 0
-        print(
-            f"drain phase          : {len(delivered)}/{requests} in-flight "
-            f"answers delivered, {len(lost)} lost, clean exit: {clean}, "
-            f"respawned after drain: {respawned}",
-            file=out,
-        )
-        return (
-            len(delivered) == requests
-            and all(a.get("ok") for a in delivered)
-            and clean
-            and not respawned
-        )
-
-    async def rolling_phase(fleet) -> bool:
-        host, port = fleet.address
-        retry = RetryPolicy(
-            max_attempts=6, timeout=args.deadline, backoff_base=0.05
-        )
-        loop = asyncio.get_running_loop()
-        restart = loop.run_in_executor(None, fleet.rolling_restart)
-        total = failed = retried = rounds = 0
-        while True:
-            queries = generate_queries(
-                surfaces, "cached", 400, seed=args.seed + rounds
-            )
-            report = await run_load(
-                host, port, queries, connections=4, retry=retry
-            )
-            total += report.requests
-            failed += report.failed
-            retried += report.retried
-            rounds += 1
-            if restart.done():
-                break
-        cycled = await restart
-        full = fleet.alive() == fleet.shards
-        print(
-            f"rolling phase        : {cycled}/{fleet.shards} shards cycled "
-            f"under load — {total} queries, {retried} retried, "
-            f"{failed} failed, fleet back to full strength: {full}",
-            file=out,
-        )
-        return failed == 0 and cycled == fleet.shards and full
-
-    inflight_fleet = ShardFleet(
-        surfaces,
-        shards=1,
-        solve_timeout=args.deadline,
-        solver_workers=requests,
-        chaos_plan=plan,
-    )
-    with inflight_fleet:
-        host, port = inflight_fleet.address
-        print(f"drain fleet          : 1 shard at {host}:{port}", file=out)
-        inflight_ok = asyncio.run(inflight_phase(inflight_fleet))
-
-    rolling_fleet = ShardFleet(
-        surfaces, shards=args.shards, solve_timeout=args.deadline
-    )
-    with rolling_fleet:
-        host, port = rolling_fleet.address
-        print(
-            f"rolling fleet        : {args.shards} shards at {host}:{port}",
-            file=out,
-        )
-        rolling_ok = asyncio.run(rolling_phase(rolling_fleet))
-
-    ok = inflight_ok and rolling_ok
-    print(
-        f"verdict              : in-flight drain: "
-        f"{'clean' if inflight_ok else 'LOST ANSWERS'}, rolling restart: "
-        f"{'zero failures' if rolling_ok else 'FAILURES'} — "
-        f"{'graceful drain holds' if ok else 'DRAIN HANDLING BROKEN'}",
-        file=out,
-    )
-    return 0 if ok else 1
-
-
-def _chaos_reload_demo(args, out) -> int:
-    """Hot-swap surfaces mid-load: every answer from exactly one generation.
-
-    Boots a ``--shards`` fleet, then publishes a tightened surface
-    generation (one that denies a probe mix the original admits) while
-    hammer tasks drive the same admit query over persistent connections.
-    Verdict (exit 0) requires: every answer's admit bit consistent with
-    the generation it reports (generation 0 admits the probe, generation
-    1 denies it), generations non-decreasing on every connection, every
-    answer after the reload returns on the new generation, and a batch
-    answer carrying a single generation.
-    """
-    import asyncio
-
-    from repro.service.client import AdmissionClient
-    from repro.service.sharded import ShardFleet
-    from repro.service.surfaces import build_decision_surfaces
-
-    surfaces = build_decision_surfaces(
-        _service_params(args), (0.1, 0.2), max_population=6, max_workers=1
-    )
-    print(f"surfaces             : {surfaces.describe()}", file=out)
-    # Pick an on-grid probe the original surfaces admit; the tightened
-    # generation pushes every boundary below zero, so the same probe
-    # flips to a deny the moment a shard answers from generation 1.
-    probe = None
-    for target in reversed(surfaces.delay_targets):
-        for n1 in range(int(surfaces.max_population) + 1):
-            bound = surfaces.grid_bound(float(n1), float(target))
-            if bound is not None and bound >= 0.0:
-                probe = (float(n1), 0.0, float(target))
-                break
-        if probe:
-            break
-    if probe is None:
-        print(
-            "error: surfaces admit nothing; no observable reload flip",
-            file=out,
-        )
-        return 2
-    tightened = surfaces.tightened(by=float(surfaces.max_population) + 2.0)
-    expected = {0: True, 1: False}
-    print(
-        f"probe                : n1={probe[0]:g} n2={probe[1]:g} "
-        f"target={probe[2]:g} (gen 0 admits, gen 1 denies)",
-        file=out,
-    )
-
-    async def drive(fleet) -> int:
-        host, port = fleet.address
-        clients = [
-            await AdmissionClient.open(host, port) for _ in range(4)
-        ]
-        answers: list[tuple[int, bool]] = []
-        violations: list[str] = []
-        stop = asyncio.Event()
-
-        async def hammer(client) -> int:
-            last_gen = -1
-            while not stop.is_set():
-                answer = await client.admit(*probe)
-                gen = int(answer["gen"])
-                admit = bool(answer["admit"])
-                answers.append((gen, admit))
-                if gen < last_gen:
-                    violations.append(
-                        f"generation went backwards ({last_gen} -> {gen})"
-                    )
-                if gen in expected and admit != expected[gen]:
-                    violations.append(
-                        f"gen {gen} answered admit={admit} "
-                        f"(expected {expected[gen]})"
-                    )
-                last_gen = gen
-            return last_gen
-        try:
-            tasks = [asyncio.create_task(hammer(c)) for c in clients]
-            await asyncio.sleep(0.2)  # observe generation-0 answers
-            loop = asyncio.get_running_loop()
-            generation = await loop.run_in_executor(
-                None, fleet.reload_surfaces, tightened
-            )
-            await asyncio.sleep(0.2)  # observe generation-1 answers
-            stop.set()
-            last_gens = await asyncio.gather(*tasks)
-            batch = await clients[0].admit_batch(
-                [probe[0], probe[0]], [probe[1], probe[1]],
-                [probe[2], probe[2]],
-            )
-        finally:
-            stop.set()
-            for client in clients:
-                await client.close()
-        gen0 = sum(1 for gen, _ in answers if gen == 0)
-        gen1 = sum(1 for gen, _ in answers if gen == generation)
-        settled = all(gen == generation for gen in last_gens)
-        batch_ok = (
-            batch.get("gen") == generation
-            and not any(batch["admit"])
-        )
-        ok = (
-            not violations
-            and generation == 1
-            and gen0 > 0
-            and gen1 > 0
-            and settled
-            and batch_ok
-        )
-        for violation in violations[:5]:
-            print(f"violation            : {violation}", file=out)
-        print(
-            f"verdict              : {len(answers)} answers "
-            f"({gen0} on gen 0, {gen1} on gen {generation}), "
-            f"0 mixed-generation answers: {not violations}, every "
-            f"connection settled on gen {generation}: {settled}, "
-            f"single-generation batch: {batch_ok} — "
-            f"{'hot reload holds' if ok else 'RELOAD HANDLING BROKEN'}",
-            file=out,
-        )
-        return 0 if ok else 1
-
-    fleet = ShardFleet(surfaces, shards=args.shards, solve_timeout=args.deadline)
-    with fleet:
-        host, port = fleet.address
-        print(
-            f"fleet                : {args.shards} shards at {host}:{port}",
-            file=out,
-        )
-        return asyncio.run(drive(fleet))
-
-
-def _chaos_poison_demo(hap, plan, out) -> int:
-    """Show each targeted degradation chain answering below its poison."""
-    import numpy as np
-
-    from repro.markov.ctmc import CTMC
-    from repro.markov.spectral import SpectralKernel
-    from repro.runtime import chaos
-    from repro.runtime.resilience import DegradationError
-
-    import scipy.sparse as sp
-
-    status = 0
-    mmpp = hap.to_mmpp().mmpp
-    generator = mmpp.generator
-    if not sp.issparse(generator):
-        generator = sp.csr_matrix(np.asarray(generator, dtype=float))
-    with chaos.chaos_active(plan):
-        try:
-            kernel = SpectralKernel(mmpp.d0())
-            print(kernel.diagnostics.describe(), file=out)
-        except DegradationError as error:
-            print(f"spectral-kernel      : exhausted — {error}", file=out)
-            status = 1
-        try:
-            chain = CTMC(generator, validate=False)
-            chain.stationary_distribution()
-            print(chain.stationary_diagnostics.describe(), file=out)
-        except DegradationError as error:
-            print(f"ctmc-stationary      : exhausted — {error}", file=out)
-            status = 1
-    return status
+    return verdict(invariants, drill.holds, out)
 
 
 def _surfaces_from_args(args: argparse.Namespace, out):
     """Load the ``--surfaces`` artifact, or build a grid in-process."""
-    from repro.service.surfaces import build_decision_surfaces, load_surfaces
+    from repro.service.surfaces import (
+        build_decision_surfaces,
+        load_surfaces,
+        two_type_params,
+    )
 
     if getattr(args, "surfaces", None):
         surfaces = load_surfaces(args.surfaces)
     else:
         surfaces = build_decision_surfaces(
-            _service_params(args),
+            two_type_params(_hap_from_args(args).params),
             _parse_delay_targets(args.delay_targets),
             max_population=args.max_population,
             max_workers=1,
@@ -1555,6 +786,7 @@ def _command_build_surfaces(args: argparse.Namespace, out) -> int:
         build_decision_surfaces,
         save_surfaces,
         save_surfaces_binary,
+        two_type_params,
     )
 
     try:
@@ -1564,7 +796,7 @@ def _command_build_surfaces(args: argparse.Namespace, out) -> int:
         return 2
     before = probe_stats()
     surfaces = build_decision_surfaces(
-        _service_params(args),
+        two_type_params(_hap_from_args(args).params),
         targets,
         max_population=args.max_population,
         max_workers=args.workers,
@@ -1587,99 +819,6 @@ def _command_build_surfaces(args: argparse.Namespace, out) -> int:
     return 0
 
 
-async def _serve_smoke(service, surfaces, host: str, port: int, out) -> int:
-    """Answer one query per tier through a loopback client; 0 = healthy."""
-    from repro.service.client import AdmissionClient
-    from repro.service.server import start_server
-
-    server = await start_server(service, host=host, port=port)
-    bound_port = server.sockets[0].getsockname()[1]
-    print(f"listening            : {host}:{bound_port} (smoke)", file=out)
-    status = 0
-    try:
-        client = await AdmissionClient.open(host, bound_port)
-        try:
-            grid_target = float(surfaces.delay_targets[0])
-            probes = (
-                ("surface", (1.0, 1.0, grid_target)),
-                ("interpolated", (0.5, 1.0, grid_target)),
-                ("miss", (1.0, 1.0, float(surfaces.delay_targets[-1]) * 2.0)),
-            )
-            for label, (n1, n2, target) in probes:
-                answer = await client.admit(n1, n2, target)
-                print(
-                    f"{label:<21}: admit={answer['admit']} "
-                    f"tier={answer['tier']} "
-                    f"latency={answer['latency_us']:.0f}us",
-                    file=out,
-                )
-                if not answer.get("ok"):
-                    status = 1
-            stats = await client.stats()
-            print(f"stats                : {stats}", file=out)
-        finally:
-            await client.close()
-    finally:
-        server.close()
-        await server.wait_closed()
-    print(
-        f"verdict              : {'healthy' if status == 0 else 'UNHEALTHY'}",
-        file=out,
-    )
-    return status
-
-
-async def _fleet_smoke(fleet, surfaces, out) -> int:
-    """Answer one query per tier + a batch + fleet stats; 0 = healthy."""
-    from repro.service.client import AdmissionClient
-
-    host, port = fleet.address
-    status = 0
-    client = await AdmissionClient.open(host, port)
-    try:
-        grid_target = float(surfaces.delay_targets[0])
-        probes = (
-            ("surface", (1.0, 1.0, grid_target)),
-            ("interpolated", (0.5, 1.0, grid_target)),
-            ("miss", (1.0, 1.0, float(surfaces.delay_targets[-1]) * 2.0)),
-        )
-        for label, (n1, n2, target) in probes:
-            answer = await client.admit(n1, n2, target)
-            print(
-                f"{label:<21}: admit={answer['admit']} "
-                f"tier={answer['tier']} "
-                f"latency={answer['latency_us']:.0f}us",
-                file=out,
-            )
-            if not answer.get("ok"):
-                status = 1
-        batch = await client.admit_batch(
-            [1.0, 0.5], [1.0, 1.0], [grid_target, grid_target]
-        )
-        print(
-            f"batch                : rows={batch['rows']} "
-            f"tiers={batch['tier']}",
-            file=out,
-        )
-        stats = await client.request({"op": "stats", "scope": "fleet"})
-        print(
-            f"fleet stats          : shards={stats.get('shards')} "
-            f"{stats['stats']}",
-            file=out,
-        )
-        if stats.get("shards") != fleet.shards or stats.get("scope") != "fleet":
-            status = 1
-        if fleet.alive() != fleet.shards:
-            status = 1
-    finally:
-        await client.close()
-    print(
-        f"verdict              : {'healthy' if status == 0 else 'UNHEALTHY'}",
-        file=out,
-    )
-    return status
-
-
 def _overload_from_args(args: argparse.Namespace):
     """Build the serve command's :class:`OverloadPolicy` (0 = unbounded)."""
     from repro.service.server import OverloadPolicy
@@ -1696,55 +835,10 @@ def _overload_from_args(args: argparse.Namespace):
     )
 
 
-def _serve_fleet(args: argparse.Namespace, surfaces, overload, out) -> int:
-    import asyncio
-    import time
-
-    from repro.service.sharded import ShardFleet
-
-    fleet = ShardFleet(
-        surfaces,
-        shards=args.shards,
-        host=args.host,
-        port=args.port,
-        solve_timeout=args.solve_timeout,
-        solver_workers=args.solver_workers,
-        exact=args.exact,
-        overload=overload,
-        drain_grace=args.drain_grace,
-    )
-    with fleet:
-        host, port = fleet.address
-        print(
-            f"listening            : {host}:{port} "
-            f"({args.shards} shards, SO_REUSEPORT)",
-            file=out,
-        )
-        if args.smoke:
-            return asyncio.run(_fleet_smoke(fleet, surfaces, out))
-        try:
-            while True:
-                time.sleep(1.0)
-        except KeyboardInterrupt:
-            print("interrupted          : shutting down fleet", file=out)
-            return 0
-
-
-async def _serve_forever(service, host: str, port: int, out) -> int:
-    from repro.service.server import start_server
-
-    server = await start_server(service, host=host, port=port)
-    bound = server.sockets[0].getsockname()
-    print(f"listening            : {bound[0]}:{bound[1]}", file=out)
-    async with server:
-        await server.serve_forever()
-    return 0
-
-
 def _command_serve(args: argparse.Namespace, out) -> int:
     import asyncio
 
-    from repro.service.server import AdmissionService
+    from repro.service.drills import booted, smoke, verdict
 
     try:
         surfaces = _surfaces_from_args(args, out)
@@ -1755,33 +849,37 @@ def _command_serve(args: argparse.Namespace, out) -> int:
     if args.shards < 1:
         print("error: --shards must be at least 1", file=out)
         return 2
-    if args.shards > 1:
-        return _serve_fleet(args, surfaces, overload, out)
-    service = AdmissionService(
-        surfaces,
-        solve_timeout=args.solve_timeout,
-        solver_workers=args.solver_workers,
-        exact=args.exact,
-        overload=overload,
-    )
+
+    async def serve() -> int:
+        async with booted(
+            surfaces,
+            out,
+            shards=args.shards if args.shards > 1 else None,
+            host=args.host,
+            port=args.port,
+            drain_grace=args.drain_grace,
+            solve_timeout=args.solve_timeout,
+            solver_workers=args.solver_workers,
+            exact=args.exact,
+            overload=overload,
+        ) as (host, port, fleet):
+            if args.smoke:
+                invariants = await smoke(host, port, fleet, surfaces, out)
+                return verdict(invariants, "healthy", out)
+            await asyncio.Event().wait()  # serve until interrupted
+
     try:
-        if args.smoke:
-            return asyncio.run(
-                _serve_smoke(service, surfaces, args.host, args.port, out)
-            )
-        return asyncio.run(_serve_forever(service, args.host, args.port, out))
+        return asyncio.run(serve())
     except KeyboardInterrupt:
         print("interrupted          : shutting down", file=out)
         return 0
-    finally:
-        service.close()
 
 
 def _command_bench_serve(args: argparse.Namespace, out) -> int:
     import asyncio
 
     from repro.service.client import generate_queries, run_load
-    from repro.service.server import AdmissionService, start_server
+    from repro.service.drills import booted
 
     try:
         surfaces = _surfaces_from_args(args, out)
@@ -1795,51 +893,26 @@ def _command_bench_serve(args: argparse.Namespace, out) -> int:
     )
     label_suffix = f" [batch={args.batch}]" if args.batch > 0 else ""
 
-    async def drive(host: str, port: int) -> None:
-        for tier in tiers:
-            queries = generate_queries(
-                surfaces, tier, args.requests, seed=args.seed
-            )
-            report = await run_load(
-                host,
-                port,
-                queries,
-                connections=args.connections,
-                batch_size=args.batch,
-            )
-            print(f"{tier:<21}: {report.describe()}{label_suffix}", file=out)
-
     async def bench() -> int:
-        service = AdmissionService(surfaces, solve_timeout=args.solve_timeout)
-        server = await start_server(service)
-        host, port = server.sockets[0].getsockname()[:2]
-        try:
-            await drive(host, port)
-        finally:
-            server.close()
-            await server.wait_closed()
-            service.close()
+        async with booted(
+            surfaces,
+            out,
+            shards=args.shards if args.shards > 1 else None,
+            solve_timeout=args.solve_timeout,
+        ) as (host, port, _):
+            for tier in tiers:
+                queries = generate_queries(
+                    surfaces, tier, args.requests, seed=args.seed
+                )
+                report = await run_load(
+                    host,
+                    port,
+                    queries,
+                    connections=args.connections,
+                    batch_size=args.batch,
+                )
+                print(f"{tier:<21}: {report.describe()}{label_suffix}", file=out)
         return 0
-
-    if args.shards > 1:
-        from repro.service.sharded import ShardFleet
-
-        fleet = ShardFleet(
-            surfaces, shards=args.shards, solve_timeout=args.solve_timeout
-        )
-        with fleet:
-            host, port = fleet.address
-            print(
-                f"fleet                : {args.shards} shards at "
-                f"{host}:{port} (SO_REUSEPORT)",
-                file=out,
-            )
-
-            async def bench_fleet() -> int:
-                await drive(host, port)
-                return 0
-
-            return asyncio.run(bench_fleet())
 
     return asyncio.run(bench())
 

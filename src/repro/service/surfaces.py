@@ -39,7 +39,7 @@ import json
 import math
 import warnings
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -58,6 +58,7 @@ __all__ = [
     "load_surfaces",
     "save_surfaces",
     "save_surfaces_binary",
+    "two_type_params",
 ]
 
 #: Artifact schema identifier; bump on incompatible layout changes.
@@ -451,6 +452,18 @@ def _surface_row(
     except (ValueError, ArithmeticError):
         bandwidth = math.inf
     return row, bandwidth
+
+
+def two_type_params(params: HAPParameters) -> HAPParameters:
+    """``params`` cut to its first two application types.
+
+    The admissible region, and so every decision surface, is 2-D; a wider
+    HAP is served through its first two application types rather than
+    rejected.
+    """
+    if params.num_app_types == 2:
+        return params
+    return replace(params, applications=params.applications[:2])
 
 
 def build_decision_surfaces(
