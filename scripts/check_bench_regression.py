@@ -35,7 +35,7 @@ PR 2's issue).  The gates:
   ``p99_latency_ms`` (lower) — the live-solve tail must stay bounded.
 * ``columnar_batched_headline_campaign`` — ``events_per_sec`` (higher),
   PR 8's replication-batched columnar gate: the 32-seed headline
-  campaign through the lock-step 2-D kernel (>= 4M events/sec at full
+  campaign through the batched kernel (>= 4M events/sec at full
   scale — >= 3x the single-replication columnar throughput).
 * ``service_sharded_cached_decisions`` — ``events_per_sec`` (higher),
   PR 9's SO_REUSEPORT fleet gate: cached decisions/sec across a

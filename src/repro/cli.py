@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         "with a vectorized Lindley recursion — much faster, its own "
         "determinism domain, exact HAP hierarchy dynamics approximated "
         "only by the mapping's truncation box; 'columnar-batched' runs "
-        "whole seed groups in lock-step as 2-D arrays, bit-identical to "
-        "'columnar' per seed and faster still for campaigns",
+        "whole seed groups per kernel call (thinning and Lindley as 2-D "
+        "arrays), bit-identical to 'columnar' per seed and faster",
     )
     simulate.add_argument(
         "--profile",
@@ -496,9 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _profiled(fn, out):
     """Run ``fn`` under cProfile; print the top-20 cumulative entries.
 
-    The analytic twin of ``simulate --profile``: perf work on the kernel
-    layer (spectral decompositions, matrix-geometric iterations, mapping
-    cache) should start from this data, not from guesses.
+    Behind both ``analyze --profile`` and ``simulate --profile``: perf
+    work on the kernels (spectral decompositions, matrix-geometric
+    iterations, the simulation engines) should start from this data, not
+    from guesses.
     """
     import cProfile
     import io
@@ -579,38 +580,29 @@ def _columnar_simulation_task(params, horizon: float, seed: int):
 
 def _columnar_batch_simulation_task(params, horizon: float, seeds):
     """Picklable batched task for ``simulate --engine columnar-batched``:
-    one lock-step kernel call covers the worker's whole seed group."""
+    one batched kernel call covers the worker's whole seed group."""
     from repro.sim.columnar import simulate_hap_approx_columnar_batch
 
     return simulate_hap_approx_columnar_batch(params, horizon, seeds)
 
 
-def _profiled_simulate(hap, args: argparse.Namespace, out):
-    """One replication under cProfile; prints top-20 cumulative entries.
+def _simulate_once(hap, args: argparse.Namespace):
+    """One replication on the ``--engine`` the command names."""
+    from repro.markov.spectral import use_backend
 
-    Future perf work should start from this data, not from guesses: the
-    PR-2 hot-path rewrite began exactly here (heap comparisons and
-    per-event closures dominating the cumulative column).
-    """
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = hap.simulate(
-        horizon=args.horizon, seed=args.seed, rng_mode=args.rng_mode
-    )
-    profiler.disable()
-    buffer = io.StringIO()
-    pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(20)
-    print(buffer.getvalue().rstrip(), file=out)
-    return result
+    if args.engine == "columnar":
+        return _columnar_simulation_task(hap.params, args.horizon, args.seed)
+    if args.engine == "columnar-batched":
+        return _columnar_batch_simulation_task(
+            hap.params, args.horizon, [args.seed]
+        )[0]
+    with use_backend(getattr(args, "backend", None)):
+        return hap.simulate(
+            horizon=args.horizon, seed=args.seed, rng_mode=args.rng_mode
+        )
 
 
 def _command_simulate(args: argparse.Namespace, out) -> int:
-    from repro.markov.spectral import use_backend
-
     hap = _hap_from_args(args)
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=out)
@@ -620,18 +612,9 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
     if (args.replications > 1 or args.checkpoint) and not args.profile:
         return _command_simulate_campaign(args, hap, out)
     if args.profile:
-        result = _profiled_simulate(hap, args, out)
-    elif args.engine == "columnar":
-        result = _columnar_simulation_task(hap.params, args.horizon, args.seed)
-    elif args.engine == "columnar-batched":
-        result = _columnar_batch_simulation_task(
-            hap.params, args.horizon, [args.seed]
-        )[0]
+        result = _profiled(lambda: _simulate_once(hap, args), out)
     else:
-        with use_backend(getattr(args, "backend", None)):
-            result = hap.simulate(
-                horizon=args.horizon, seed=args.seed, rng_mode=args.rng_mode
-            )
+        result = _simulate_once(hap, args)
     print(f"messages served      : {result.messages_served}", file=out)
     print(f"mean delay           : {result.mean_delay:.6g} s", file=out)
     print(f"sigma (arrival-busy) : {result.sigma:.4f}", file=out)

@@ -216,7 +216,7 @@ def _headline_columnar_task(params, horizon, seed):
 
 
 def _headline_columnar_batch_task(params, horizon, seeds):
-    """Picklable batched columnar task: one whole seed group in lock-step."""
+    """Picklable batched columnar task: one whole seed group per call."""
     from repro.sim.columnar import simulate_hap_approx_columnar_batch
 
     return simulate_hap_approx_columnar_batch(params, horizon, seeds)
@@ -236,7 +236,7 @@ def run_headline_columnar_campaign(
     arrival stream as numpy arrays and solves the queue with the vectorized
     Lindley recursion (:mod:`repro.sim.columnar`), with results transported
     through one shared-memory matrix.  ``engine="columnar-batched"`` runs
-    contiguous seed groups in lock-step through the 2-D batched kernel
+    contiguous seed groups through the replication-batched kernel
     instead (:mod:`repro.sim.columnar_batch`) — row-for-row bit-identical,
     one kernel call per worker.  Returns the raw campaign — callers compare
     its ``mean_delay`` summary against the heap campaign's (the BENCH_6

@@ -24,8 +24,8 @@ unchanged.
 
 ``engine="columnar-batched"`` (``batch=True`` here) changes the unit of
 dispatch from one replication to one contiguous *seed group*: the task
-receives the whole group's seed list and runs it through the lock-step
-batched kernel (:mod:`repro.sim.columnar_batch`), writing every row of the
+receives the whole group's seed list and runs it through the batched
+kernel (:mod:`repro.sim.columnar_batch`), writing every row of the
 shared-memory matrix in a single call.  With ``workers=1`` the entire
 campaign is one group — the batched kernel drives the result matrix
 directly with no per-replication task dispatch at all.  Failure/retry/
@@ -212,7 +212,7 @@ def run_columnar_campaign(
     SimulationResult`` — and the unit of dispatch becomes a contiguous
     seed group: ``chunk_size`` seeds per group when given, otherwise the
     campaign split evenly across the worker count (one single all-seed
-    group when ``workers=1``, so the lock-step kernel owns the whole
+    group when ``workers=1``, so one batched kernel call owns the whole
     matrix).  Per-seed accounting (failures, retries, skips, resume
     counts) expands from the group outcome, and a checkpoint journal keys
     groups by their seed span — resuming requires the same

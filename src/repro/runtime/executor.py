@@ -725,8 +725,8 @@ class ParallelReplicator:
         seeds, failure semantics, and ``CampaignResult`` contract, with
         compact per-replication records.  ``"columnar-batched"`` expects a
         *batched* task — ``run_one(seeds) -> list of results`` — and
-        dispatches contiguous seed groups into the lock-step 2-D kernel
-        (:mod:`repro.sim.columnar_batch`); rows are bit-identical to
+        dispatches contiguous seed groups into the replication-batched
+        kernel (:mod:`repro.sim.columnar_batch`); rows are bit-identical to
         ``"columnar"`` for the same seed list.
 
     Examples

@@ -15,9 +15,10 @@ temporary memory is bounded by the chunk size regardless of stream length.
 No numba, no event heap: everything is numpy primitives.
 
 The replication-batched variant (:mod:`repro.sim.columnar_batch`,
-re-exported here as ``simulate_*_columnar_batch``) runs R replications in
-lock-step as ``(R, block)`` 2-D arrays, bit-identical row for row to the
-sequential functions below — one engine, two dispatch shapes.
+re-exported here as ``simulate_*_columnar_batch``) runs R replications per
+call — per-row chain walks, then thinning and Lindley over ``(R, block)``
+2-D arrays — bit-identical row for row to the sequential functions below:
+one engine, two dispatch shapes.
 
 Semantics contract (mirrors the heap engine observable-for-observable)
 ----------------------------------------------------------------------

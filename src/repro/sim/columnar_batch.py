@@ -6,21 +6,22 @@ replication per call: every replication walks its own modulating chain,
 lays its own candidate blocks, and allocates fresh temporaries.  A
 Monte-Carlo campaign is R independent, identically structured
 replications — exactly the shape that amortizes interpreter overhead to
-near zero when stacked row-wise.  This module runs R replications in
-**lock-step**:
+near zero when stacked row-wise.  This module runs R replications per
+call:
 
-* the R embedded jump chains advance *simultaneously* — one vectorized
-  state lookup (a padded-cumulative rank gather over all rows) per chain
-  step instead of one ``searchsorted`` per replication per step;
+* each row's embedded jump chain is walked in one scalar pass over
+  Python floats, one ``bisect`` into the state's cumulative row per jump
+  (a vectorized step over all R rows costs a dozen numpy calls, far more
+  than R scalar steps at the replication counts campaigns use);
 * ``Poisson(r_max)`` candidate generation and thinning run over a
   ``(R, block)`` 2-D workspace, rows retiring as they pass the horizon;
 * the FCFS queue is solved by a row-wise chunked Lindley recursion
   (:func:`lindley_waits_batch`) — 2-D ``cumsum`` / ``minimum.accumulate``
   per chunk with a per-row scalar carry;
-* a :class:`BatchWorkspace` pool preallocates every recurring buffer
-  once per campaign and serves the hot numpy calls through ``out=``
-  variants, so the steady state performs no heap allocation beyond the
-  result arrays themselves.
+* a :class:`BatchWorkspace` pool preallocates the candidate and Lindley
+  buffers once per campaign and serves the hot numpy calls through
+  ``out=`` variants.  The walk draws fresh variate blocks per row: their
+  unused tails outlive it as the row's leftovers.
 
 Determinism contract (the same domain as the sequential columnar engine)
 ------------------------------------------------------------------------
@@ -29,26 +30,27 @@ substreams (``"columnar-source"``, ``"columnar-server"``) in *exactly* the
 sequential draw order — block refills, splices, and all.  Rows are
 therefore **bit-identical** to sequential ``simulate_*_columnar`` runs
 with the same seeds and ``block_size``: interleaving draws *across* rows
-is free (independent generators), and within a row the lock-step walk
-preserves the per-row call sequence because every active row consumes
-exactly one sojourn per step and one jump uniform per non-overshooting
-step, so block refills stay synchronized.  Only ``extras`` metadata
-differs (``engine="columnar-batched"`` plus batch bookkeeping).  Golden
-arrays and hypothesis tests pin this contract.
+is free (independent generators), and within a row the walk, the
+candidate blocks and the thinning uniforms make the sequential engine's
+generator calls in its order, splicing the walk's partly used blocks
+first.  Only ``extras`` metadata differs (``engine="columnar-batched"``
+plus batch bookkeeping).  Golden arrays and hypothesis tests pin this
+contract.
 
 Memory model
 ------------
-The chain walk spans all R rows (jump storage is small: one float and one
-int per modulating jump per row).  The candidate/thinning/Lindley phase —
-whose temporaries scale with ``horizon * r_max`` per row — processes rows
-in groups bounded by ``max_group_bytes`` (default 256 MiB), so peak
-memory stays flat while interpreter overhead is still amortized across
-the group.
+The chain walk keeps, per row, its jumps (one float and one int per
+modulating jump) and the unused tails of its last sojourn and uniform
+blocks.  The candidate/thinning/Lindley phase — whose temporaries scale
+with ``horizon * r_max`` per row — processes rows in groups bounded by
+``max_group_bytes`` (default 256 MiB), so peak memory stays flat while
+interpreter overhead is still amortized across the group.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -136,13 +138,13 @@ def _rows_per_group(
 
 @dataclass
 class _BatchWalk:
-    """Everything the lock-step chain walk produced, per row.
+    """Everything the per-row chain walks produced, per row.
 
-    ``sojourn_leftovers``/``uniform_leftovers`` are the partially served
-    variate blocks each row's generator would still hold after a
-    sequential walk — the candidate and thinning phases splice them first,
-    which is what keeps per-row bit-streams identical to the sequential
-    engine's batcher semantics.
+    ``sojourn_leftovers``/``uniform_leftovers`` are the unused tails of
+    each row's last sojourn and uniform blocks: what the sequential
+    engine's batchers still hold when its walk stops.  The candidate and
+    thinning phases splice them first, which is what keeps per-row
+    bit-streams identical to the sequential engine's.
     """
 
     initial_states: np.ndarray
@@ -152,162 +154,37 @@ class _BatchWalk:
     uniform_leftovers: list[np.ndarray]
 
 
-def _walk_embedded_chains(
-    packed,
-    holding: np.ndarray,
-    sojourn_means: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    initial_states: np.ndarray,
-    horizon: float,
-    block_size: int,
-    workspace: BatchWorkspace,
-) -> _BatchWalk:
-    """Advance R embedded jump chains simultaneously.
+def _walk_row(rng, state, horizon, block_size, means, alive, targets, cumulative):
+    """One row's embedded jump chain in plain Python floats.
 
-    One step of the loop advances *every* still-active row by one chain
-    jump: gather the step's sojourn variates from the ``(R, block)``
-    workspace, add state-dependent means, retire rows passing the
-    horizon, then resolve all jump targets with a single padded-cumulative
-    rank query (``count of cumulative <= u`` per row — exactly
-    ``searchsorted(..., side="right")`` plus the sequential clamp).
-
-    The per-row draw order is the sequential walk's: every active row
-    consumes one sojourn per step and one jump uniform per
-    non-overshooting step, so the ``(R, block)`` refills happen for all
-    active rows at the same step (``step % block_size == 0``), each from
-    its own generator, in the sequential order (sojourn block before
-    uniform block).
-
-    The hot loop runs one step for *all* rows in ~a dozen numpy calls:
-    per-row position (``state``, ``now``) is kept compacted to the active
-    rows so the common all-active case indexes the ``(R, block)``
-    workspaces with plain slices, and rows retire (overshoot or absorbing
-    state) by flushing their current-block jumps and freezing their
-    batcher leftovers at that instant — an O(R)-rare event, off the hot
-    path.  Absorbing-state checks are skipped entirely when the chain has
-    none (every mapped HAP chain).
+    Returns ``(jump times, visited states, sojourn leftover, uniform
+    leftover)``.  The draw order is the sequential engine's: a sojourn
+    block, then a uniform block unless the block's first step already
+    overshoots the horizon.  Iterating memoryviews hands out Python floats
+    one at a time, so a short walk never converts a block's unused tail.
+    An absorbing state has an infinite mean sojourn, so absorption shows
+    up as the next step's overshoot and needs no per-step check.
     """
-    count = len(rngs)
-    sojourn_blocks = workspace.array("walk-sojourns", (count, block_size))
-    uniform_blocks = workspace.array("walk-uniforms", (count, block_size))
-    jump_block = workspace.array("walk-jump-times", (count, block_size))
-    state_block = workspace.array(
-        "walk-jump-states", (count, block_size), dtype=np.int64
-    )
-    cumulative = packed.cumulative
-    targets = packed.targets
-    lengths_minus_1 = packed.lengths - 1
-    holding_positive = holding > 0.0
-    has_absorbing = not bool(holding_positive.all())
-
-    jump_pieces: list[list[np.ndarray]] = [[] for _ in range(count)]
-    state_pieces: list[list[np.ndarray]] = [[] for _ in range(count)]
-    sojourn_leftovers: list[np.ndarray] = [_EMPTY] * count
-    uniform_leftovers: list[np.ndarray] = [_EMPTY] * count
-
-    # Compacted to active rows, aligned with ``row_ids``.  ``selector``
-    # indexes the (count, block) workspaces: a plain slice while every row
-    # is active (views, no fancy-indexing copies), the row-id array after
-    # the first retirement.
-    state_active = np.array(initial_states, dtype=np.int64)
-    now_active = np.zeros(count)
-    row_ids = np.arange(count)
-    if has_absorbing:
-        keep = holding_positive[state_active]
-        row_ids = row_ids[keep]
-        state_active = state_active[keep]
-        now_active = now_active[keep]
-    selector = slice(None) if row_ids.size == count else row_ids
-
-    step = 0
-    while row_ids.size:
-        column = step % block_size
-        if column == 0:
-            if step:
-                # Rows still active at a block boundary jumped at every
-                # column of the finished block: flush it whole.
-                for row in row_ids:
-                    jump_pieces[row].append(jump_block[row].copy())
-                    state_pieces[row].append(state_block[row].copy())
-            for row in row_ids:
-                rngs[row].standard_exponential(out=sojourn_blocks[row])
-        advance = sojourn_blocks[selector, column] * sojourn_means[state_active]
-        now_active += advance
-        overshoot = now_active > horizon
-        if overshoot.any():
-            # Overshooting rows retire without jumping: they consumed the
-            # sojourn at this column but no jump uniform, so the sojourn
-            # leftover starts past this column and the uniform leftover at
-            # it (empty at column 0 — the row's last uniform block, if
-            # any, was exactly exhausted).
-            for local in np.flatnonzero(overshoot):
-                row = int(row_ids[local])
-                jump_pieces[row].append(jump_block[row, :column].copy())
-                state_pieces[row].append(state_block[row, :column].copy())
-                sojourn_leftovers[row] = sojourn_blocks[row, column + 1 :]
-                if column:
-                    uniform_leftovers[row] = uniform_blocks[row, column:]
-            keep = ~overshoot
-            row_ids = row_ids[keep]
-            state_active = state_active[keep]
-            now_active = now_active[keep]
-            if not row_ids.size:
-                break
-            selector = row_ids
-        jump_block[selector, column] = now_active
-        if column == 0:
-            # Jump uniforms refill in the same step for every surviving
-            # row (they all carry jumps == step), after the sojourn
-            # refill — the sequential per-row call order.
-            for row in row_ids:
-                rngs[row].random(out=uniform_blocks[row])
-        uniform = uniform_blocks[selector, column]
-        position = (cumulative[state_active] <= uniform[:, None]).sum(axis=1)
-        np.minimum(position, lengths_minus_1[state_active], out=position)
-        state_active = targets[state_active, position]
-        state_block[selector, column] = state_active
-        if has_absorbing:
-            alive = holding_positive[state_active]
-            if not alive.all():
-                # Absorbed rows recorded this step's jump, then stop: both
-                # leftovers start past this column.
-                for local in np.flatnonzero(~alive):
-                    row = int(row_ids[local])
-                    jump_pieces[row].append(
-                        jump_block[row, : column + 1].copy()
-                    )
-                    state_pieces[row].append(
-                        state_block[row, : column + 1].copy()
-                    )
-                    sojourn_leftovers[row] = sojourn_blocks[row, column + 1 :]
-                    uniform_leftovers[row] = uniform_blocks[row, column + 1 :]
-                row_ids = row_ids[alive]
-                state_active = state_active[alive]
-                now_active = now_active[alive]
-                selector = row_ids
-        step += 1
-
-    jump_times: list[np.ndarray] = []
-    states: list[np.ndarray] = []
-    for row in range(count):
-        if jump_pieces[row]:
-            times = np.concatenate(jump_pieces[row])
-            visited = np.concatenate(state_pieces[row])
-        else:
-            times = np.empty(0)
-            visited = np.empty(0, dtype=np.int64)
-        trajectory = np.empty(visited.size + 1, dtype=np.int64)
-        trajectory[0] = initial_states[row]
-        trajectory[1:] = visited
-        jump_times.append(times)
-        states.append(trajectory)
-    return _BatchWalk(
-        initial_states=np.asarray(initial_states, dtype=np.int64),
-        jump_times=jump_times,
-        states=states,
-        sojourn_leftovers=sojourn_leftovers,
-        uniform_leftovers=uniform_leftovers,
-    )
+    now = 0.0
+    times: list[float] = []
+    visited = [state]
+    while alive[state]:
+        sojourns = rng.standard_exponential(block_size)
+        if now + float(sojourns[0]) * means[state] > horizon:
+            return times, visited, sojourns[1:], _EMPTY
+        uniforms = rng.random(block_size)
+        for k, (sojourn, uniform) in enumerate(
+            zip(memoryview(sojourns), memoryview(uniforms))
+        ):
+            now += sojourn * means[state]
+            if not now <= horizon:  # or NaN: a zero sojourn times inf
+                if not alive[state]:
+                    return times, visited, sojourns[k:], uniforms[k:]
+                return times, visited, sojourns[k + 1 :], uniforms[k:]
+            times.append(now)
+            state = targets[state][bisect_right(cumulative[state], uniform)]
+            visited.append(state)
+    return times, visited, _EMPTY, _EMPTY
 
 
 def _blocked_cumulative_rows(
@@ -532,7 +409,16 @@ def _mmpp_walks(
     block_size: int,
     workspace: BatchWorkspace,
 ) -> tuple[np.ndarray, _BatchWalk]:
-    """Validate, draw initial states, and run the lock-step chain walk."""
+    """Validate, draw initial states, and walk each row's jump chain.
+
+    Rows walk one after another, each from its own generator
+    (``workspace`` is not used: a row's leftovers are views of its own
+    last blocks).  The per-state tables become Python lists once per call:
+    bisecting a ``+inf``-padded cumulative row gives the same position as
+    ``searchsorted`` on the unpadded one, and each target row is padded
+    with its last target, which is the sequential engine's clamp for a
+    uniform at or above the row's rounded total.
+    """
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite (got {horizon})")
     rates = np.asarray(mmpp.rates, dtype=float)
@@ -540,28 +426,35 @@ def _mmpp_walks(
     holding = np.asarray(chain.holding_rates(), dtype=float)
     if initial_state is None:
         pi = mmpp.stationary_distribution()
-        initial_states = np.array(
-            [int(rng.choice(rates.size, p=pi)) for rng in rngs],
-            dtype=np.int64,
-        )
+        initial_states = [int(rng.choice(rates.size, p=pi)) for rng in rngs]
     else:
         if not 0 <= initial_state < rates.size:
             raise ValueError(f"initial_state {initial_state} out of range")
-        initial_states = np.full(len(rngs), int(initial_state), dtype=np.int64)
+        initial_states = [int(initial_state)] * len(rngs)
     packed = _embedded_chain(chain)
+    clamp = np.minimum(
+        np.arange(packed.targets.shape[1] + 1),
+        np.maximum(packed.lengths - 1, 0)[:, None],
+    )
     with np.errstate(divide="ignore"):
         sojourn_means = np.where(holding > 0.0, 1.0 / holding, np.inf)
-    walk = _walk_embedded_chains(
-        packed,
-        holding,
-        sojourn_means,
-        rngs,
-        initial_states,
-        horizon,
-        block_size,
-        workspace,
+    tables = (
+        sojourn_means.tolist(),
+        (holding > 0.0).tolist(),
+        np.take_along_axis(packed.targets, clamp, axis=1).tolist(),
+        packed.cumulative.tolist(),
     )
-    return rates, walk
+    rows = [
+        _walk_row(rng, state, horizon, block_size, *tables)
+        for rng, state in zip(rngs, initial_states)
+    ]
+    return rates, _BatchWalk(
+        initial_states=np.array(initial_states, dtype=np.int64),
+        jump_times=[np.array(row[0], dtype=float) for row in rows],
+        states=[np.array(row[1], dtype=np.int64) for row in rows],
+        sojourn_leftovers=[row[2] for row in rows],
+        uniform_leftovers=[row[3] for row in rows],
+    )
 
 
 def sample_mmpp_streams_batch(
@@ -573,7 +466,7 @@ def sample_mmpp_streams_batch(
     workspace: BatchWorkspace | None = None,
     max_group_bytes: int | None = None,
 ) -> list[MMPPStreamArrays]:
-    """R MMPP arrival streams in lock-step, one per generator.
+    """R MMPP arrival streams in one batch, one per generator.
 
     Row ``k`` is bit-identical (arrivals, jump times, states, candidate
     count) to ``sample_mmpp_stream(mmpp, horizon, rngs[k], ...)`` with a
@@ -707,10 +600,10 @@ def simulate_mmpp_columnar_batch(
     workspace: BatchWorkspace | None = None,
     max_group_bytes: int | None = None,
 ) -> list[SimulationResult]:
-    """Batched columnar MMPP/M/1 — R replications in lock-step.
+    """Batched columnar MMPP/M/1 — R replications in one call.
 
-    One chain walk advances every row simultaneously; candidates,
-    thinning, services, and the Lindley queue then run group-by-group
+    Each row's chain is walked in turn; candidates, thinning, services,
+    and the Lindley queue then run group-by-group
     within the ``max_group_bytes`` budget.  Result rows are bit-identical
     to :func:`repro.sim.columnar.simulate_mmpp_columnar` per seed (extras
     carry ``engine="columnar-batched"`` instead).

@@ -143,7 +143,7 @@ class TestCheckpointResume:
 
 
 def _batch_task(seeds):
-    """Picklable batched task: the whole seed group in one lock-step call."""
+    """Picklable batched task: the whole seed group in one batched call."""
     from repro.sim.columnar import simulate_poisson_columnar_batch
 
     return simulate_poisson_columnar_batch(5.0, 2_000.0, 8.0, seeds)

@@ -1,7 +1,7 @@
 """Tests for the replication-batched columnar engine (repro.sim.columnar_batch).
 
 The batched kernel's whole value proposition is *bit-identity*: each row
-of a lock-step batch must consume its seed's substreams exactly as the
+of a batch must consume its seed's substreams exactly as the
 sequential columnar engine does, so batching R replications is free of
 statistical cost.  These tests pin that contract three ways:
 
@@ -11,8 +11,9 @@ statistical cost.  These tests pin that contract three ways:
 * the BENCH_6 golden stream (seed 2024) must fall out of the batched
   sampler unchanged — same arrays the sequential sampler locks;
 * unit tests cover the sharp edges: absorbing modulating chains, zero
-  rates, workspace reuse, group splitting, and the batched Lindley
-  recursion against its 1-D twin.
+  rates, workspace reuse, group splitting, the walk's block boundaries
+  and rounding clamp (stream-level, against the sequential sampler), and
+  the batched Lindley recursion against its 1-D twin.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _two_state_mmpp(rate_low=1.0, rate_high=12.0):
 
 
 class TestGoldenBatchStream:
-    """The BENCH_6 golden arrays must survive lock-step batching unchanged."""
+    """The BENCH_6 golden arrays must survive batching unchanged."""
 
     def test_batched_sampler_reproduces_the_golden_stream(self):
         batched = sample_mmpp_streams_batch(
@@ -106,8 +107,8 @@ class TestGoldenBatchStream:
 
     def test_neighbouring_rows_do_not_perturb_the_golden_row(self):
         # Row 1 is the golden stream; rows 0 and 2 are strangers.  The
-        # lock-step walk interleaves all three, but each row's generator
-        # must see exactly its own draw sequence.
+        # batch draws for all three, but each row's generator must see
+        # exactly its own draw sequence.
         rngs = [np.random.default_rng(seed) for seed in (11, 2024, 99)]
         batched = sample_mmpp_streams_batch(
             _two_state_mmpp(),
@@ -241,9 +242,9 @@ class TestSharpEdges:
 
     @pytest.mark.parametrize("initial_state", [0, 1])
     def test_absorbing_chain_rows_match_sequential(self, initial_state):
-        # State 1 absorbs (zero exit rate) and emits nothing: rows retire
-        # from the lock-step walk at different steps and must still consume
-        # their streams exactly as the scalar walk does.
+        # State 1 absorbs (zero exit rate) and emits nothing: rows stop
+        # walking at different steps and must still consume their streams
+        # exactly as the sequential walk does.
         mmpp = MMPP(
             np.array([[-0.8, 0.8], [0.0, 0.0]]), np.array([5.0, 0.0])
         )
@@ -310,6 +311,146 @@ class TestSharpEdges:
             simulate_mmpp_columnar_batch(
                 _two_state_mmpp(), 100.0, 14.0, [1], initial_state=5
             )
+
+
+def _assert_streams_match_sequential(
+    mmpp, horizon, seeds, initial_state, block_size
+):
+    """Batched streams equal sequential ones bitwise, and every generator
+    ends in the same state; returns the batched streams."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    batched = sample_mmpp_streams_batch(
+        mmpp, horizon, rngs, initial_state=initial_state, block_size=block_size
+    )
+    for seed, rng, row in zip(seeds, rngs, batched):
+        own = np.random.default_rng(seed)
+        sequential = sample_mmpp_stream(
+            mmpp, horizon, own, initial_state=initial_state, block_size=block_size
+        )
+        for field in ("arrivals", "jump_times", "states"):
+            left, right = getattr(sequential, field), getattr(row, field)
+            assert left.dtype == right.dtype, f"seed={seed} {field}"
+            assert np.array_equal(left, right), f"seed={seed} {field}"
+        assert row.candidates == sequential.candidates, f"seed={seed}"
+        assert rng.bit_generator.state == own.bit_generator.state, f"seed={seed}"
+    return batched
+
+
+def _absorbing_three_state_mmpp(absorb_rate=0.5):
+    # States 0 and 1 trade places; state 2 absorbs (zero exit rate).
+    generator = np.array(
+        [
+            [-2.0, 1.5, 0.5],
+            [1.0, -1.0 - absorb_rate, absorb_rate],
+            [0.0, 0.0, 0.0],
+        ]
+    )
+    return MMPP(generator, np.array([1.0, 3.0, 0.5]))
+
+
+class TestWalkBlockEdges:
+    """Stream-level bit identity where the walk crosses block boundaries:
+    overshoot at a block's first column (empty uniform leftover),
+    absorption on a block's last column, no draws at all, many blocks."""
+
+    @pytest.mark.parametrize("block_size", [1, 2, 3])
+    def test_tiny_blocks(self, block_size):
+        batched = _assert_streams_match_sequential(
+            _two_state_mmpp(), 150.0, list(range(8)), 0, block_size
+        )
+        # Some row stopped on the first column of a fresh block.
+        assert any(row.num_jumps % block_size == 0 for row in batched)
+
+    def test_absorbed_on_a_block_last_column(self):
+        batched = _assert_streams_match_sequential(
+            _absorbing_three_state_mmpp(), 50.0, list(range(40)), 0, 4
+        )
+        assert any(
+            row.num_jumps and row.num_jumps % 4 == 0 and row.states[-1] == 2
+            for row in batched
+        )
+
+    def test_absorbing_initial_state_walks_nothing(self):
+        batched = _assert_streams_match_sequential(
+            _absorbing_three_state_mmpp(), 50.0, [3, 4], 2, 8
+        )
+        for row in batched:
+            assert row.num_jumps == 0
+            assert row.states.tolist() == [2]
+            assert row.candidates > 0
+
+    def test_rows_walk_several_blocks(self):
+        batched = _assert_streams_match_sequential(
+            _two_state_mmpp(), 200.0, [11, 2024, 99], 0, 8
+        )
+        assert all(row.num_jumps > 3 * 8 for row in batched)
+
+    def test_rows_of_very_different_lengths(self):
+        # Slow absorption: some rows stop after a few jumps, others walk
+        # to the horizon, all in one batch.
+        batched = _assert_streams_match_sequential(
+            _absorbing_three_state_mmpp(absorb_rate=0.02),
+            400.0,
+            list(range(10)),
+            0,
+            16,
+        )
+        lengths = [row.num_jumps for row in batched]
+        assert max(lengths) > 10 * min(lengths)
+
+
+class _TopUniforms:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def standard_exponential(self, size=None, out=None):
+        return self._rng.standard_exponential(size, out=out)
+
+    def random(self, size=None, out=None):
+        top = np.nextafter(1.0, 0.0)
+        if out is None:
+            return np.full(size, top)
+        out.fill(top)
+        return out
+
+
+class TestRoundingClamp:
+    """A uniform at or above a row's rounded total jumps to the row's last
+    target in both engines (no random draw reaches this: ~2**-53 a jump)."""
+
+    @staticmethod
+    def _ten_exit_mmpp():
+        # State 0 leaves to each of states 1..10 at rate 1: ten embedded
+        # probabilities of 0.1, whose running sum ends at 1 - 2**-53.
+        generator = np.zeros((11, 11))
+        generator[0, 1:] = 1.0
+        generator[1:, 0] = 2.0
+        np.fill_diagonal(generator, -generator.sum(axis=1))
+        return MMPP(generator, np.array([4.0] + [1.0] * 10))
+
+    def test_row_total_rounds_below_one(self):
+        from repro.sim.columnar import _embedded_chain
+
+        packed = _embedded_chain(self._ten_exit_mmpp().chain)
+        assert packed.cumulative[0, 9] == np.nextafter(1.0, 0.0)
+
+    def test_both_engines_jump_to_the_last_target(self):
+        mmpp = self._ten_exit_mmpp()
+        sequential = sample_mmpp_stream(
+            mmpp, 20.0, _TopUniforms(5), initial_state=0, block_size=8
+        )
+        batched = sample_mmpp_streams_batch(
+            mmpp, 20.0, [_TopUniforms(5)], initial_state=0, block_size=8
+        )[0]
+        for stream in (sequential, batched):
+            assert stream.num_jumps > 2
+            assert set(stream.states[1::2].tolist()) == {10}
+            assert set(stream.states[0::2].tolist()) == {0}
+        for field in ("arrivals", "jump_times", "states"):
+            assert np.array_equal(getattr(sequential, field), getattr(batched, field))
+        assert sequential.candidates == batched.candidates
 
 
 class TestLindleyBatch:

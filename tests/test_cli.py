@@ -301,6 +301,22 @@ class TestColumnarEngine:
         with pytest.raises(SystemExit):
             run_cli(["simulate", "--engine", "quantum", "--horizon", "100"])
 
+    @pytest.mark.parametrize(
+        "engine, module",
+        [("columnar", "columnar"), ("columnar-batched", "columnar_batch")],
+    )
+    def test_profile_runs_the_selected_engine(self, engine, module):
+        base = ["simulate", "--engine", engine, "--horizon", "2000",
+                "--seed", "3"]
+        _, plain = run_cli(base)
+        code, profiled = run_cli([*base, "--profile"])
+        assert code == 0
+        lines = plain.splitlines()
+        assert profiled.splitlines()[-len(lines):] == lines
+        # The profile is of the named engine, not the heap simulator.
+        assert f"{module}.py:" in profiled
+        assert "run_until" not in profiled
+
 
 class TestServiceCommands:
     # A tiny surface grid keeps each CLI invocation around a second.
