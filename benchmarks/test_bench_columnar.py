@@ -1,27 +1,30 @@
 """Columnar engine benches: headline throughput and heap agreement.
 
-The columnar engine (``repro.sim.columnar``) generates each replication's
-whole M/HAP-approx arrival stream as numpy arrays and solves the queue
-with the chunked Lindley recursion, so its events/sec ceiling is memory
-bandwidth, not Python-level event dispatch.  Four benches:
+The columnar engine generates each replication's whole M/HAP-approx
+arrival stream as numpy arrays and solves the queue with the chunked
+Lindley recursion, so its events/sec ceiling is memory bandwidth, not
+Python-level event dispatch.  Campaigns under either engine name run one
+seed per job through the replication-batched kernel
+(``repro.sim.columnar_batch``); the sequential engine
+(``repro.sim.columnar``) is the bit-identity reference.  Three benches:
 
 * ``test_columnar_headline_campaign`` — the BENCH_6 throughput gate: the
   headline campaign (4 seeds, shared-memory result transport) must sustain
   >= 1M events/sec where the heap engine managed ~273k (BENCH_4).
 * ``test_columnar_batched_headline_campaign`` — the BENCH_8 gate: a
-  32-seed campaign through the replication-batched engine (one kernel
-  call per worker: per-row chain walks, then 2-D thinning and Lindley) must
-  sustain >= 4M events/sec at full scale — >= 3x the single-replication
+  32-seed campaign under ``engine="columnar-batched"`` (one kernel call
+  per seed: a per-row chain walk, then thinning and Lindley) must sustain
+  >= 4M events/sec at full scale — >= 3x the single-replication
   columnar throughput recorded in BENCH_6/ROADMAP (~1.24M).  The gate
-  also proves the batching is free of statistical cost: row 0 must be
+  also proves the kernel is free of statistical cost: row 0 must be
   bit-identical to a plain sequential columnar run of the same seed.  A
   batch of one seed is timed beside that sequential run and recorded
   (``batch_of_one_events_per_sec``), not gated.
-* ``test_columnar_vs_heap_agreement`` / the batched variant — the
-  correctness side of the same coin: heap and columnar campaigns over
-  identical parameters must agree on mean delay within 3 sigma of their
-  combined replication standard errors.  (The engines draw from different
-  determinism domains, so the comparison is statistical, never bitwise.)
+* ``test_columnar_vs_heap_agreement`` — the correctness side of the same
+  coin: heap and columnar campaigns over identical parameters must agree
+  on mean delay within 3 sigma of their combined replication standard
+  errors.  (The engines draw from different determinism domains, so the
+  comparison is statistical, never bitwise.)
 """
 
 from __future__ import annotations
@@ -175,44 +178,3 @@ def test_columnar_vs_heap_agreement(benchmark, report, scale):
     assert heap.failures == () and columnar.failures == ()
     assert gap <= 3.0 * combined_se
 
-
-def test_columnar_batched_vs_heap_agreement(benchmark, report, scale):
-    params = base_parameters(service_rate=20.0)
-    horizon = 100_000.0 * scale
-    workers = _bench_workers()
-
-    def both():
-        heap = ParallelReplicator(max_workers=workers).run(
-            partial(
-                simulate_hap_mm1, params, horizon, rng_mode="batched"
-            ),
-            4,
-            base_seed=7,
-        )
-        batched = run_headline_columnar_campaign(
-            num_replications=4,
-            sim_horizon=horizon,
-            max_workers=workers,
-            engine="columnar-batched",
-        )
-        return heap, batched
-
-    heap, batched = run_once(benchmark, both)
-    heap_delay = heap.summaries()["mean_delay"]
-    batched_delay = batched.summaries()["mean_delay"]
-    gap = abs(batched_delay.mean - heap_delay.mean)
-    combined_se = math.hypot(
-        heap_delay.std / math.sqrt(len(heap_delay.values)),
-        batched_delay.std / math.sqrt(len(batched_delay.values)),
-    )
-    report(
-        "Batched columnar vs heap mean-delay agreement (4 seeds each, "
-        "3-sigma replication gate)",
-        f"heap {heap_delay.mean:.4f} s vs batched "
-        f"{batched_delay.mean:.4f} s; gap {gap:.4f} vs "
-        f"3*SE {3.0 * combined_se:.4f} "
-        f"(heap {heap.events_per_second:,.0f} ev/s, "
-        f"batched {batched.events_per_second:,.0f} ev/s)",
-    )
-    assert heap.failures == () and batched.failures == ()
-    assert gap <= 3.0 * combined_se

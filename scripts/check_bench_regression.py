@@ -25,9 +25,10 @@ PR 2's issue).  The gates:
   ``peak_rss_mb`` (lower), PR 4's Krylov-backend scale rung: grid
   evaluations/sec and peak resident memory on the ~8k-state chain.
 * ``columnar_headline_campaign`` — ``events_per_sec`` (higher), PR 6's
-  columnar-engine gate: the headline M/HAP-approx campaign through the
-  vectorized stream generator + Lindley recursion (>= 1M events/sec where
-  the heap engine managed ~273k).
+  columnar-engine gate: the 4-seed headline M/HAP-approx campaign under
+  ``engine="columnar"``, one seed per job through the vectorized stream
+  generator + Lindley recursion of the replication-batched kernel
+  (>= 1M events/sec where the heap engine managed ~273k).
 * ``service_cached_decisions`` / ``service_interpolated_decisions`` /
   ``service_miss_decisions`` — ``events_per_sec`` (higher), PR 7's
   admission-service throughput per answer tier (decisions/sec through
@@ -35,8 +36,9 @@ PR 2's issue).  The gates:
   ``p99_latency_ms`` (lower) — the live-solve tail must stay bounded.
 * ``columnar_batched_headline_campaign`` — ``events_per_sec`` (higher),
   PR 8's replication-batched columnar gate: the 32-seed headline
-  campaign through the batched kernel (>= 4M events/sec at full
-  scale — >= 3x the single-replication columnar throughput).
+  campaign under ``engine="columnar-batched"``, one kernel call per seed
+  (>= 4M events/sec at full scale — >= 3x the single-replication
+  columnar throughput).
 * ``service_sharded_cached_decisions`` — ``events_per_sec`` (higher),
   PR 9's SO_REUSEPORT fleet gate: cached decisions/sec across a
   multi-shard fleet mapping one shared-memory surface (>= 3x BENCH_7's

@@ -253,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         "via the symmetric (x, y) MMPP mapping and solves the queue "
         "with a vectorized Lindley recursion — much faster, its own "
         "determinism domain, exact HAP hierarchy dynamics approximated "
-        "only by the mapping's truncation box; 'columnar-batched' runs "
-        "whole seed groups per kernel call (thinning and Lindley as 2-D "
-        "arrays), bit-identical to 'columnar' per seed and faster",
+        "only by the mapping's truncation box; 'columnar-batched' is "
+        "another name for 'columnar': both run each seed as its own job "
+        "through the replication-batched kernel",
     )
     simulate.add_argument(
         "--profile",
@@ -568,34 +568,24 @@ def _simulation_task(params, horizon: float, rng_mode: str, backend: str | None,
 
 
 def _columnar_simulation_task(params, horizon: float, seed: int):
-    """Picklable columnar campaign task for ``simulate --engine columnar``.
+    """Picklable columnar campaign task for ``simulate --engine columnar``
+    (or ``columnar-batched``): the seed runs as a batch of one through the
+    replication-batched kernel.
 
     Each worker builds the (LRU-cached, per-process) symmetric MMPP mapping
     once, then every replication it runs reuses the cached chain.
     """
-    from repro.sim.columnar import simulate_hap_approx_columnar
-
-    return simulate_hap_approx_columnar(params, horizon, seed=seed)
-
-
-def _columnar_batch_simulation_task(params, horizon: float, seeds):
-    """Picklable batched task for ``simulate --engine columnar-batched``:
-    one batched kernel call covers the worker's whole seed group."""
     from repro.sim.columnar import simulate_hap_approx_columnar_batch
 
-    return simulate_hap_approx_columnar_batch(params, horizon, seeds)
+    return simulate_hap_approx_columnar_batch(params, horizon, [seed])[0]
 
 
 def _simulate_once(hap, args: argparse.Namespace):
     """One replication on the ``--engine`` the command names."""
     from repro.markov.spectral import use_backend
 
-    if args.engine == "columnar":
+    if args.engine != "heap":
         return _columnar_simulation_task(hap.params, args.horizon, args.seed)
-    if args.engine == "columnar-batched":
-        return _columnar_batch_simulation_task(
-            hap.params, args.horizon, [args.seed]
-        )[0]
     with use_backend(getattr(args, "backend", None)):
         return hap.simulate(
             horizon=args.horizon, seed=args.seed, rng_mode=args.rng_mode
@@ -655,13 +645,7 @@ def _command_simulate_campaign(args: argparse.Namespace, hap, out) -> int:
         except ValueError as error:
             print(f"error: {error}", file=out)
             return 2
-    if args.engine == "columnar":
-        task = partial(_columnar_simulation_task, hap.params, args.horizon)
-    elif args.engine == "columnar-batched":
-        task = partial(
-            _columnar_batch_simulation_task, hap.params, args.horizon
-        )
-    else:
+    if args.engine == "heap":
         task = partial(
             _simulation_task,
             hap.params,
@@ -669,6 +653,8 @@ def _command_simulate_campaign(args: argparse.Namespace, hap, out) -> int:
             args.rng_mode,
             getattr(args, "backend", None),
         )
+    else:
+        task = partial(_columnar_simulation_task, hap.params, args.horizon)
     campaign = ParallelReplicator(
         max_workers=args.workers,
         policy=_retry_policy_from_args(args),

@@ -191,8 +191,8 @@ def run_fig9_empirical(
             "effective_arrival_rate"
         ],
         num_replications=campaign.completed,
-        # Per-point campaign wall_clock is deprecated (whole-sweep figure);
-        # this is a one-point sweep, so the sweep total IS the campaign's.
+        # A per-point campaign's wall_clock is the whole-sweep figure; this
+        # is a one-point sweep, so the sweep total IS the campaign's.
         wall_clock=result.wall_clock,
     )
 

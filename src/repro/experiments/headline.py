@@ -204,22 +204,16 @@ def run_headline_campaign(
 
 
 def _headline_columnar_task(params, horizon, seed):
-    """Picklable columnar campaign task over the headline parameters.
+    """Picklable columnar campaign task over the headline parameters: the
+    seed runs as a batch of one through the replication-batched kernel.
 
     Imported lazily so loading the experiments package never pulls the
     columnar stack in; each worker builds the (per-process LRU-cached)
     symmetric MMPP mapping once and reuses it across its replications.
     """
-    from repro.sim.columnar import simulate_hap_approx_columnar
-
-    return simulate_hap_approx_columnar(params, horizon, seed=seed)
-
-
-def _headline_columnar_batch_task(params, horizon, seeds):
-    """Picklable batched columnar task: one whole seed group per call."""
     from repro.sim.columnar import simulate_hap_approx_columnar_batch
 
-    return simulate_hap_approx_columnar_batch(params, horizon, seeds)
+    return simulate_hap_approx_columnar_batch(params, horizon, [seed])[0]
 
 
 def run_headline_columnar_campaign(
@@ -234,12 +228,13 @@ def run_headline_columnar_campaign(
     Same parameters and seed derivation as :func:`run_headline_campaign`'s
     simulation leg, but each replication generates its whole M/HAP-approx
     arrival stream as numpy arrays and solves the queue with the vectorized
-    Lindley recursion (:mod:`repro.sim.columnar`), with results transported
-    through one shared-memory matrix.  ``engine="columnar-batched"`` runs
-    contiguous seed groups through the replication-batched kernel
-    instead (:mod:`repro.sim.columnar_batch`) — row-for-row bit-identical,
-    one kernel call per worker.  Returns the raw campaign — callers compare
-    its ``mean_delay`` summary against the heap campaign's (the BENCH_6
+    Lindley recursion, one seed per job through the replication-batched
+    kernel (:mod:`repro.sim.columnar_batch`), with results transported
+    through one shared-memory matrix.  Each row is bit-identical to the
+    sequential engine's (:mod:`repro.sim.columnar`) for the same seed.
+    ``engine`` accepts ``"columnar"`` and ``"columnar-batched"``, two names
+    for this one path.  Returns the raw campaign — callers compare its
+    ``mean_delay`` summary against the heap campaign's (the BENCH_6
     agreement gate does exactly that).
     """
     if engine not in ("columnar", "columnar-batched"):
@@ -248,13 +243,8 @@ def run_headline_columnar_campaign(
             f"(got {engine!r})"
         )
     params = base_parameters(service_rate=20.0)
-    task = (
-        _headline_columnar_batch_task
-        if engine == "columnar-batched"
-        else _headline_columnar_task
-    )
     campaign = ParallelReplicator(max_workers=max_workers, engine=engine).run(
-        partial(task, params, sim_horizon),
+        partial(_headline_columnar_task, params, sim_horizon),
         num_replications,
         base_seed=base_seed,
     )

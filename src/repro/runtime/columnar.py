@@ -20,19 +20,20 @@ with ``engine="columnar"`` (or :func:`run_columnar_campaign` directly);
 results come back as the same :class:`~repro.runtime.executor.CampaignResult`
 shape, with compact :class:`ColumnarReplication` records in ``results`` so
 ``summaries()``, ``events_processed``, and ``describe()`` all work
-unchanged.
+unchanged.  ``engine="columnar-batched"`` is a second name for the same
+path.
 
-``engine="columnar-batched"`` (``batch=True`` here) changes the unit of
-dispatch from one replication to one contiguous *seed group*: the task
-receives the whole group's seed list and runs it through the batched
-kernel (:mod:`repro.sim.columnar_batch`), writing every row of the
-shared-memory matrix in a single call.  With ``workers=1`` the entire
-campaign is one group — the batched kernel drives the result matrix
-directly with no per-replication task dispatch at all.  Failure/retry/
-checkpoint accounting stays *per seed* (a failed group records one
-:class:`~repro.runtime.executor.ReplicationFailure` per member seed), and
-because batched rows are bit-identical to sequential columnar rows, both
-engines produce the same statistics for the same seed list.
+Dispatch is one seed per job under both names: ``task(seed)`` returns one
+columnar result.  The package's own tasks run that seed as a batch of one
+through the replication-batched kernel (:mod:`repro.sim.columnar_batch`),
+whose rows are bit-identical to the sequential engine's.  Timeouts,
+retries, failures, and checkpoint journal keys (``seed=<seed>``) are all
+per seed, so a journal resumes under any worker count or a larger
+replication count.  A journal written by the former seed-group dispatch,
+which keyed each group by its seed span, splices nothing: resuming from
+it re-runs every seed, with identical results.  A batched task
+(``task(seeds) -> list``) is no longer a valid task; each seed it is
+handed fails.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ import numpy as np
 
 from repro.runtime.executor import (
     CampaignResult,
-    ReplicationFailure,
+    _campaign_result,
     _Job,
-    default_worker_count,
     derive_seeds,
     run_jobs,
 )
@@ -143,48 +143,6 @@ def _columnar_worker(task: Callable, shm_name: str, base_seed: int, seed: int):
     return row
 
 
-def _columnar_batch_worker(
-    task: Callable,
-    shm_name: str,
-    base_seed: int,
-    seeds: tuple[int, ...],
-    _seed: int,
-):
-    """Run one seed group through the batched kernel and publish its rows.
-
-    ``task`` is a batched columnar task: ``task(seeds) -> list of
-    SimulationResult``, one per seed in order.  The trailing ``_seed``
-    positional is the group's first seed, supplied by the dispatch loop's
-    ``job.task(job.seed)`` convention and unused — the bound ``seeds``
-    tuple is authoritative.  Returns the tuple of row tuples (the
-    journal/retry payload); the shared-memory writes are the fast path.
-    """
-    results = task(list(seeds))
-    if len(results) != len(seeds):
-        raise RuntimeError(
-            f"batched columnar task returned {len(results)} results "
-            f"for {len(seeds)} seeds"
-        )
-    width = len(COLUMNAR_FIELDS)
-    rows = tuple(
-        tuple(float(getattr(result, name)) for name in COLUMNAR_FIELDS)
-        for result in results
-    )
-    shm = _attach(shm_name)
-    try:
-        for seed, row in zip(seeds, rows):
-            matrix = np.ndarray(
-                (width,),
-                dtype=np.float64,
-                buffer=shm.buf,
-                offset=(seed - base_seed) * width * 8,
-            )
-            matrix[:] = row
-    finally:
-        shm.close()
-    return rows
-
-
 def run_columnar_campaign(
     task: Callable,
     num_replications: int,
@@ -195,7 +153,6 @@ def run_columnar_campaign(
     policy: RetryPolicy | None = None,
     checkpoint: CheckpointJournal | str | None = None,
     resume: bool = False,
-    batch: bool = False,
 ) -> CampaignResult:
     """Fan a columnar task out over a campaign through shared memory.
 
@@ -203,20 +160,11 @@ def run_columnar_campaign(
     and :class:`~repro.runtime.executor.CampaignResult` contract as the
     heap path — the only difference is the transport: workers write
     :data:`COLUMNAR_FIELDS` rows into one shared-memory matrix instead of
-    pickling full result objects back.  ``task`` must be picklable for the
-    pool to be used (the usual :func:`functools.partial` over a
-    module-level function); otherwise the campaign degrades to the
-    identical in-process path, which writes the same shared memory.
-
-    With ``batch=True`` the task is batched — ``task(seeds) -> list of
-    SimulationResult`` — and the unit of dispatch becomes a contiguous
-    seed group: ``chunk_size`` seeds per group when given, otherwise the
-    campaign split evenly across the worker count (one single all-seed
-    group when ``workers=1``, so one batched kernel call owns the whole
-    matrix).  Per-seed accounting (failures, retries, skips, resume
-    counts) expands from the group outcome, and a checkpoint journal keys
-    groups by their seed span — resuming requires the same
-    ``chunk_size``/worker partitioning that wrote the journal.
+    pickling full result objects back.  ``task(seed)`` returns one columnar
+    result and must be picklable for the pool to be used (the usual
+    :func:`functools.partial` over a module-level function); otherwise the
+    campaign degrades to the identical in-process path, which writes the
+    same shared memory.
     """
     seeds = derive_seeds(num_replications, base_seed)
     width = len(COLUMNAR_FIELDS)
@@ -228,98 +176,31 @@ def run_columnar_campaign(
             (num_replications, width), dtype=np.float64, buffer=shm.buf
         )
         matrix[:] = math.nan
-        if batch:
-            workers_hint = (
-                default_worker_count(limit=num_replications)
-                if max_workers is None
-                else max(1, int(max_workers))
-            )
-            rows_per_job = (
-                max(1, int(chunk_size))
-                if chunk_size is not None
-                else math.ceil(num_replications / workers_hint)
-            )
-            groups = [
-                seeds[start : start + rows_per_job]
-                for start in range(0, num_replications, rows_per_job)
-            ]
-            jobs = [
-                _Job(
-                    index=k,
-                    seed=group[0],
-                    task=partial(
-                        _columnar_batch_worker, task, shm.name, base_seed, group
-                    ),
-                    key=f"seeds={group[0]}-{group[-1]}",
-                )
-                for k, group in enumerate(groups)
-            ]
-            dispatch_chunk = 1  # each seed group is already a dispatch unit
-        else:
-            groups = [(seed,) for seed in seeds]
-            worker = partial(_columnar_worker, task, shm.name, base_seed)
-            jobs = [
-                _Job(index=k, seed=seed, task=worker)
-                for k, seed in enumerate(seeds)
-            ]
-            dispatch_chunk = chunk_size
+        worker = partial(_columnar_worker, task, shm.name, base_seed)
+        jobs = [
+            _Job(index=k, seed=seed, task=worker)
+            for k, seed in enumerate(seeds)
+        ]
         outcomes, skipped, wall_clock, workers = run_jobs(
             jobs,
             max_workers=max_workers,
-            chunk_size=dispatch_chunk,
+            chunk_size=chunk_size,
             wall_clock_budget=wall_clock_budget,
             policy=policy,
             journal=checkpoint,
             resume=resume,
         )
-        outcomes.sort(key=lambda outcome: outcome.index)
-        results: list[ColumnarReplication] = []
-        result_seeds: list[int] = []
-        failures: list[ReplicationFailure] = []
-        for outcome in outcomes:
-            group = groups[outcome.index]
-            if outcome.error is not None:
-                failures.extend(
-                    ReplicationFailure(
-                        index=seed - base_seed,
-                        seed=seed,
-                        error=outcome.error,
-                        traceback=outcome.traceback,
-                        attempts=outcome.attempts,
-                    )
-                    for seed in group
-                )
-                continue
-            if outcome.from_checkpoint:
-                # Journaled rows; the shm rows were never written this run.
-                rows = outcome.value if batch else (outcome.value,)
-            else:
-                rows = [matrix[seed - base_seed] for seed in group]
-            for seed, row in zip(group, rows):
-                results.append(ColumnarReplication.from_row(row))
-                result_seeds.append(seed)
-        return CampaignResult(
-            results=tuple(results),
-            seeds=tuple(result_seeds),
-            failures=tuple(failures),
-            skipped_seeds=tuple(
-                seed for job in skipped for seed in groups[job.index]
-            ),
-            wall_clock=wall_clock,
-            busy_time=sum(o.elapsed for o in outcomes),
-            max_workers=workers,
-            retried_seeds=tuple(
-                sorted(
-                    {
-                        seed
-                        for o in outcomes
-                        if o.attempts > 1
-                        for seed in groups[o.index]
-                    }
-                )
-            ),
-            resumed=sum(
-                len(groups[o.index]) for o in outcomes if o.from_checkpoint
+        # Journaled rows come from the journal: a resumed run never wrote
+        # their shared-memory rows.
+        return _campaign_result(
+            outcomes,
+            skipped,
+            wall_clock,
+            workers,
+            result_of=lambda outcome: ColumnarReplication.from_row(
+                outcome.value
+                if outcome.from_checkpoint
+                else matrix[outcome.index]
             ),
         )
     finally:

@@ -692,6 +692,46 @@ def run_jobs(
     return outcomes, skipped, time.perf_counter() - started, workers
 
 
+def _campaign_result(
+    outcomes: list[_Outcome],
+    skipped: list[_Job],
+    wall_clock: float,
+    workers: int,
+    result_of: Callable[[_Outcome], object] = lambda outcome: outcome.value,
+) -> CampaignResult:
+    """Fold :func:`run_jobs` output into a :class:`CampaignResult`.
+
+    Outcomes are re-assembled in replication order; ``result_of`` maps a
+    successful outcome to the record ``results`` holds.
+    """
+    outcomes = sorted(outcomes, key=lambda outcome: outcome.index)
+    successes = [o for o in outcomes if o.error is None]
+    failures = tuple(
+        ReplicationFailure(
+            index=o.index,
+            seed=o.seed,
+            error=o.error,
+            traceback=o.traceback,
+            attempts=o.attempts,
+        )
+        for o in outcomes
+        if o.error is not None
+    )
+    return CampaignResult(
+        results=tuple(result_of(o) for o in successes),
+        seeds=tuple(o.seed for o in successes),
+        failures=failures,
+        skipped_seeds=tuple(job.seed for job in skipped),
+        wall_clock=wall_clock,
+        busy_time=sum(o.elapsed for o in outcomes),
+        max_workers=workers,
+        retried_seeds=tuple(
+            sorted({o.seed for o in outcomes if o.attempts > 1})
+        ),
+        resumed=sum(1 for o in outcomes if o.from_checkpoint),
+    )
+
+
 class ParallelReplicator:
     """Fan ``run_one(seed)`` out over worker processes, deterministically.
 
@@ -718,16 +758,13 @@ class ParallelReplicator:
     engine:
         ``"heap"`` (default) ships each replication's pickled
         :class:`~repro.sim.replication.SimulationResult` back through the
-        pool.  ``"columnar"`` expects ``run_one`` to be a columnar task
-        (:mod:`repro.sim.columnar`) and transports results through one
+        pool.  ``"columnar"`` and ``"columnar-batched"`` are two names for
+        one path: ``run_one(seed)`` returns a columnar result
+        (:mod:`repro.sim.columnar`), and results travel through one
         shared-memory scalar matrix instead
         (:func:`~repro.runtime.columnar.run_columnar_campaign`) — same
-        seeds, failure semantics, and ``CampaignResult`` contract, with
-        compact per-replication records.  ``"columnar-batched"`` expects a
-        *batched* task — ``run_one(seeds) -> list of results`` — and
-        dispatches contiguous seed groups into the replication-batched
-        kernel (:mod:`repro.sim.columnar_batch`); rows are bit-identical to
-        ``"columnar"`` for the same seed list.
+        seeds, per-seed failure, retry and checkpoint semantics, and
+        ``CampaignResult`` contract, with compact per-replication records.
 
     Examples
     --------
@@ -772,7 +809,7 @@ class ParallelReplicator:
         :class:`RuntimeWarning` is emitted when ``max_workers > 1`` was
         explicitly requested.
         """
-        if self.engine in ("columnar", "columnar-batched"):
+        if self.engine != "heap":
             # Imported lazily: runtime.columnar imports this module.
             from repro.runtime.columnar import run_columnar_campaign
 
@@ -786,7 +823,6 @@ class ParallelReplicator:
                 policy=self.policy,
                 checkpoint=self.checkpoint,
                 resume=self.resume,
-                batch=self.engine == "columnar-batched",
             )
         seeds = derive_seeds(num_replications, base_seed)
         jobs = [
@@ -801,29 +837,4 @@ class ParallelReplicator:
             journal=self.checkpoint,
             resume=self.resume,
         )
-        outcomes.sort(key=lambda outcome: outcome.index)
-        successes = [o for o in outcomes if o.error is None]
-        failures = tuple(
-            ReplicationFailure(
-                index=o.index,
-                seed=o.seed,
-                error=o.error,
-                traceback=o.traceback,
-                attempts=o.attempts,
-            )
-            for o in outcomes
-            if o.error is not None
-        )
-        return CampaignResult(
-            results=tuple(o.value for o in successes),
-            seeds=tuple(o.seed for o in successes),
-            failures=failures,
-            skipped_seeds=tuple(job.seed for job in skipped),
-            wall_clock=wall_clock,
-            busy_time=sum(o.elapsed for o in outcomes),
-            max_workers=workers,
-            retried_seeds=tuple(
-                sorted({o.seed for o in outcomes if o.attempts > 1})
-            ),
-            resumed=sum(1 for o in outcomes if o.from_checkpoint),
-        )
+        return _campaign_result(outcomes, skipped, wall_clock, workers)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -66,32 +65,14 @@ class SweepCampaignResult(CampaignResult):
     """A per-point campaign inside a sweep.
 
     Points share one pool and their replications interleave, so a per-point
-    wall time is not well defined.  Historically ``wall_clock`` silently
-    held the *whole-sweep* wall-clock — the same number for every point —
-    which misled per-point timing tables (PR 1 review).  Reading
-    ``wall_clock`` on a per-point campaign is therefore **deprecated** (it
-    still returns the sweep total, with a :class:`DeprecationWarning`):
-    use ``busy_time`` for this point's cost, or
-    :attr:`SweepResult.wall_clock` for the sweep total.
+    wall time is not well defined: ``wall_clock`` holds the *whole-sweep*
+    wall-clock, the same number for every point
+    (:attr:`SweepResult.wall_clock`).  This point's own cost is
+    ``busy_time``.
 
     ``events_per_second`` and ``describe`` are redefined off ``busy_time``
     so per-point throughput is a real per-point figure.
     """
-
-    # NOT a @dataclass: a property could not shadow the frozen parent's
-    # field (its generated __init__ assigns via object.__setattr__, which
-    # fires property setters), so the deprecation hooks attribute access.
-    def __getattribute__(self, name):
-        if name == "wall_clock":
-            warnings.warn(
-                "per-point CampaignResult.wall_clock inside a sweep is the "
-                "whole-sweep wall-clock, not a per-point time; use "
-                "busy_time for this point's cost or SweepResult.wall_clock "
-                "for the sweep total",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return super().__getattribute__(name)
 
     @property
     def events_per_second(self) -> float:
@@ -130,7 +111,7 @@ class SweepPointResult:
 
     ``campaign`` is a :class:`SweepCampaignResult`: per-point timing comes
     from ``busy_time`` (the summed execution seconds of this point's
-    replications alone); accessing its ``wall_clock`` is deprecated.
+    replications alone); its ``wall_clock`` is the whole-sweep wall-clock.
     """
 
     label: str
@@ -284,8 +265,8 @@ def sweep(
     Notes
     -----
     Each returned campaign is a :class:`SweepCampaignResult`: per-point
-    throughput reads off ``busy_time``, and accessing its ``wall_clock``
-    (the whole-sweep figure) is deprecated; see :class:`SweepPointResult`.
+    throughput reads off ``busy_time``, and its ``wall_clock`` is the
+    whole-sweep figure; see :class:`SweepPointResult`.
     """
     if num_replications < 1:
         raise ValueError("need at least one replication per point")

@@ -142,22 +142,11 @@ class TestCheckpointResume:
         assert resumed.results == uninterrupted.results
 
 
-def _batch_task(seeds):
-    """Picklable batched task: the whole seed group in one batched call."""
+def _kernel_task(seed: int):
+    """Picklable per-seed task: the seed as a batch of one."""
     from repro.sim.columnar import simulate_poisson_columnar_batch
 
-    return simulate_poisson_columnar_batch(5.0, 2_000.0, 8.0, seeds)
-
-
-def _short_batch_task(seeds):
-    """Misbehaving batched task: returns one result too few."""
-    return _batch_task(seeds)[:-1]
-
-
-def _failing_batch_task(seeds):
-    if 2 in seeds:
-        raise ValueError("injected group failure")
-    return _batch_task(seeds)
+    return simulate_poisson_columnar_batch(5.0, 2_000.0, 8.0, [seed])[0]
 
 
 class TestBatchedCampaign:
@@ -166,72 +155,63 @@ class TestBatchedCampaign:
             _columnar_task, 5, base_seed=3, max_workers=1
         )
         batched = run_columnar_campaign(
-            _batch_task, 5, base_seed=3, max_workers=1, batch=True
+            _kernel_task, 5, base_seed=3, max_workers=1
         )
         assert batched.seeds == sequential.seeds
         assert batched.results == sequential.results
 
     def test_group_partitions_are_invisible(self):
         serial = run_columnar_campaign(
-            _batch_task, 6, base_seed=0, max_workers=1, batch=True
+            _kernel_task, 6, base_seed=0, max_workers=1
         )
         pooled = run_columnar_campaign(
-            _batch_task, 6, base_seed=0, max_workers=2, batch=True
+            _kernel_task, 6, base_seed=0, max_workers=2
         )
         chunked = run_columnar_campaign(
-            _batch_task, 6, base_seed=0, max_workers=2, chunk_size=2,
-            batch=True,
+            _kernel_task, 6, base_seed=0, max_workers=2, chunk_size=2,
         )
         assert serial.results == pooled.results == chunked.results
         assert serial.seeds == pooled.seeds == chunked.seeds
 
     def test_engine_dispatch_through_parallel_replicator(self):
         direct = run_columnar_campaign(
-            _batch_task, 3, base_seed=5, max_workers=1, batch=True
+            _kernel_task, 3, base_seed=5, max_workers=1
         )
-        via_replicator = ParallelReplicator(
-            max_workers=1, engine="columnar-batched"
-        ).run(_batch_task, 3, base_seed=5)
-        assert direct.results == via_replicator.results
+        # Both engine names select the same path.
+        for engine in ("columnar", "columnar-batched"):
+            via_replicator = ParallelReplicator(
+                max_workers=1, engine=engine
+            ).run(_kernel_task, 3, base_seed=5)
+            assert direct.results == via_replicator.results
 
     def test_rejects_unknown_engine_naming_the_batched_one(self):
         with pytest.raises(ValueError, match="columnar-batched"):
             ParallelReplicator(engine="batched")
 
-    def test_group_failure_expands_to_per_seed_failures(self):
-        campaign = run_columnar_campaign(
-            _failing_batch_task, 4, base_seed=0, max_workers=1,
-            chunk_size=2, batch=True,
-        )
-        # Groups (0, 1) and (2, 3); the second explodes as a unit.
-        assert campaign.completed == 2
-        assert campaign.seeds == (0, 1)
-        assert [failure.seed for failure in campaign.failures] == [2, 3]
-        assert all(
-            "injected group failure" in failure.traceback
-            for failure in campaign.failures
-        )
+    def test_a_failing_seed_fails_alone(self):
+        campaign = ParallelReplicator(
+            max_workers=1, engine="columnar-batched"
+        ).run(_failing_task, 4, base_seed=0)
+        assert campaign.seeds == (0, 1, 3)
+        assert [failure.seed for failure in campaign.failures] == [2]
+        assert "injected failure" in campaign.failures[0].traceback
 
-    def test_wrong_result_count_fails_the_whole_group(self):
-        campaign = run_columnar_campaign(
-            _short_batch_task, 2, base_seed=0, max_workers=1, batch=True
-        )
-        assert campaign.completed == 0
-        assert len(campaign.failures) == 2
-        assert "for 2 seeds" in campaign.failures[0].traceback
-
-    def test_checkpoint_resume_restores_whole_groups(self, tmp_path):
-        journal = tmp_path / "batched.jsonl"
-        first = run_columnar_campaign(
-            _batch_task, 4, base_seed=0, max_workers=1, chunk_size=2,
-            checkpoint=str(journal), batch=True,
-        )
-        resumed = run_columnar_campaign(
-            _batch_task, 4, base_seed=0, max_workers=1, chunk_size=2,
-            checkpoint=str(journal), resume=True, batch=True,
-        )
+    def test_checkpoint_resumes_under_other_workers_and_more_seeds(
+        self, tmp_path
+    ):
+        journal = str(tmp_path / "batched.jsonl")
+        first = ParallelReplicator(
+            max_workers=1, checkpoint=journal, engine="columnar-batched"
+        ).run(_kernel_task, 4, base_seed=0)
+        resumed = ParallelReplicator(
+            max_workers=2,
+            checkpoint=journal,
+            resume=True,
+            engine="columnar-batched",
+        ).run(_kernel_task, 6, base_seed=0)
         assert resumed.resumed == 4
-        assert resumed.results == first.results
+        assert resumed.completed == 6
+        assert resumed.results[:4] == first.results
 
 
 class TestSharedMemoryCleanup:

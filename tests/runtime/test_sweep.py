@@ -149,7 +149,7 @@ def _with_events(seed: int):
 
 
 class TestPerPointTiming:
-    """Per-point campaigns time off busy_time; wall_clock is deprecated."""
+    """Per-point campaigns time off busy_time; wall_clock is the sweep's."""
 
     def test_per_point_campaign_is_a_sweep_campaign_result(self):
         from repro.runtime import SweepCampaignResult
@@ -157,12 +157,13 @@ class TestPerPointTiming:
         result = sweep([("a", _crash_on_odd)], num_replications=2, max_workers=1)
         assert isinstance(result["a"], SweepCampaignResult)
 
-    def test_wall_clock_access_is_deprecated(self):
+    def test_per_point_wall_clock_is_the_sweep_total(self):
+        import warnings
+
         result = sweep([("a", _crash_on_odd)], num_replications=1, max_workers=1)
-        with pytest.deprecated_call(match="whole-sweep wall-clock"):
-            deprecated = result["a"].wall_clock
-        # The deprecated value is still the historic one: the sweep total.
-        assert deprecated == result.wall_clock
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert result["a"].wall_clock == result.wall_clock
 
     def test_sweep_total_wall_clock_stays_clean(self):
         import warnings

@@ -537,6 +537,20 @@ class TestConfigFingerprintFlags:
         assert code == 2
         assert "engine" in text
 
+    def test_batched_engine_resumes_under_other_workers_and_more_seeds(
+        self, tmp_path
+    ):
+        journal = str(tmp_path / "campaign.jsonl")
+        base = ["simulate", "--engine", "columnar-batched", "--horizon",
+                "2000", "--seed", "7", "--checkpoint", journal]
+        code, _ = run_cli([*base, "--replications", "4", "--workers", "1"])
+        assert code == 0
+        code, text = run_cli(
+            [*base, "--replications", "6", "--workers", "2", "--resume"]
+        )
+        assert code == 0
+        assert "4 resumed (checkpoint)" in text
+
     def test_matching_resume_still_splices(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
         argv = ["simulate", *SMALL, "--horizon", "2000", "--seed", "7",
