@@ -15,10 +15,12 @@ temporary memory is bounded by the chunk size regardless of stream length.
 No numba, no event heap: everything is numpy primitives.
 
 The replication-batched variant (:mod:`repro.sim.columnar_batch`,
-re-exported here as ``simulate_*_columnar_batch``) runs R replications per
-call — per-row chain walks, then thinning and Lindley over ``(R, block)``
-2-D arrays — bit-identical row for row to the sequential functions below:
-one engine, two dispatch shapes.
+re-exported here as ``simulate_*_columnar_batch``) takes a list of seeds
+and runs each row in per-row passes that allocate once — a scalar chain
+walk, candidates drawn in place into one array, thinning one block-sized
+chunk at a time with ``np.compress`` — then shares :func:`lindley_waits`
+and the statistics pass with the functions below.  Its rows are
+bit-identical to theirs: one engine, two dispatch shapes.
 
 Semantics contract (mirrors the heap engine observable-for-observable)
 ----------------------------------------------------------------------
@@ -410,8 +412,9 @@ def lindley_waits(
     hypothesis test pins bit-exact agreement on a dyadic grid where all
     sums are representable, and ~1e-12 relative agreement in general).
     ``chunk_size`` moves results only within that same tolerance and is
-    not part of the determinism contract.  Peak temporary memory is
-    ``O(chunk_size)`` on top of the output array.
+    not part of the determinism contract.  Peak temporary memory is three
+    ``chunk_size`` buffers, allocated once and reused by every chunk, on
+    top of the output array, which each chunk's waits are written into.
     """
     arrivals = np.ascontiguousarray(arrival_times, dtype=float)
     services = np.ascontiguousarray(service_times, dtype=float)
@@ -429,20 +432,26 @@ def lindley_waits(
         raise ValueError("service times must be finite and non-negative")
     waits[0] = initial_wait
     carry = initial_wait
+    span = min(chunk_size, count - 1)
+    increments = np.empty(span)
+    prefix = np.zeros(span + 1)
+    running_min = np.empty(span)
     for start in range(1, count, chunk_size):
         stop = min(start + chunk_size, count)
-        gaps = np.diff(arrivals[start - 1 : stop])
+        width = stop - start
+        gaps = np.subtract(
+            arrivals[start:stop], arrivals[start - 1 : stop - 1],
+            out=increments[:width],
+        )
         if (gaps < 0.0).any():
             raise ValueError("arrival times must be non-decreasing")
-        increments = services[start - 1 : stop - 1] - gaps
-        prefix = np.empty(increments.size + 1)
-        prefix[0] = 0.0
-        np.cumsum(increments, out=prefix[1:])
-        running_min = np.minimum.accumulate(prefix[:-1])
-        chunk = np.maximum(
-            np.maximum(prefix[1:] - running_min, carry + prefix[1:]), 0.0
-        )
-        waits[start:stop] = chunk
+        step = np.subtract(services[start - 1 : stop - 1], gaps, out=gaps)
+        body = np.cumsum(step, out=prefix[1 : width + 1])
+        low = np.minimum.accumulate(prefix[:width], out=running_min[:width])
+        np.subtract(body, low, out=low)
+        np.add(body, carry, out=body)
+        chunk = np.maximum(low, body, out=waits[start:stop])
+        np.maximum(chunk, 0.0, out=chunk)
         carry = float(chunk[-1])
     return waits
 
@@ -478,25 +487,26 @@ def _queue_result_from_waits(
 ) -> SimulationResult:
     """The statistics pass shared by the sequential and batched engines.
 
-    Takes precomputed waits so the batched engine can feed rows of its 2-D
-    Lindley recursion through the *same* reductions — bit-identity between
-    the engines then follows from identical inputs, not parallel code.
+    Takes precomputed waits so the batched engine can feed its Lindley
+    rows through the *same* reductions — bit-identity between the engines
+    then follows from identical inputs, not parallel code.  ``arrivals``
+    must be sorted (:func:`lindley_waits` rejects decreasing ones), so the
+    post-warmup arrivals are the suffix from one ``searchsorted``;
+    departures need not be monotone, so the in-horizon test stays a mask.
     """
     observed = max(horizon - warmup, 1e-12)
+    first = int(np.searchsorted(arrivals, warmup, side="left"))
+    arrivals_total = arrivals.size - first
     starts = arrivals + waits
     departures = starts + services
-    delays = waits + services
-
-    post_warmup = arrivals >= warmup
-    arrivals_total = int(np.count_nonzero(post_warmup))
     in_horizon = departures <= horizon
-    served = post_warmup & in_horizon
-    observed_delays = delays[served]
+    served = in_horizon[first:]
+    observed_delays = np.compress(served, waits[first:] + services[first:])
     messages_served = int(observed_delays.size)
 
     if messages_served:
         mean_delay = float(observed_delays.mean())
-        mean_wait = float(waits[served].mean())
+        mean_wait = float(np.compress(served, waits[first:]).mean())
     else:
         mean_delay = math.nan
         mean_wait = math.nan
@@ -504,18 +514,21 @@ def _queue_result_from_waits(
         float(observed_delays.var(ddof=1)) if messages_served >= 2 else math.nan
     )
     sigma = (
-        float(np.count_nonzero(waits[post_warmup] > 0.0) / arrivals_total)
+        float(np.count_nonzero(waits[first:] > 0.0) / arrivals_total)
         if arrivals_total
         else math.nan
     )
     # Busy intervals [start, departure) are disjoint (one server); presence
     # intervals [arrival, departure) overlap-count the number in system.
-    busy_overlap = np.clip(
-        np.minimum(departures, horizon) - np.maximum(starts, warmup), 0.0, None
-    )
-    presence_overlap = np.clip(
-        np.minimum(departures, horizon) - np.maximum(arrivals, warmup), 0.0, None
-    )
+    # Both clip to [warmup, horizon] over the full rows: a message that
+    # arrived before warmup can still be served or present after it.
+    capped = np.minimum(departures, horizon, out=departures)
+    busy_overlap = np.maximum(starts, warmup, out=starts)
+    np.subtract(capped, busy_overlap, out=busy_overlap)
+    np.maximum(busy_overlap, 0.0, out=busy_overlap)
+    presence_overlap = np.maximum(arrivals, warmup)
+    np.subtract(capped, presence_overlap, out=presence_overlap)
+    np.maximum(presence_overlap, 0.0, out=presence_overlap)
     utilization = float(busy_overlap.sum() / observed)
     mean_queue_length = float(presence_overlap.sum() / observed)
     events = int(arrivals.size + np.count_nonzero(in_horizon) + source_events)

@@ -1,27 +1,22 @@
-"""Replication-batched columnar engine: whole campaigns as 2-D arrays.
+"""Replication-batched columnar engine: whole campaigns per call.
 
 The columnar engine (:mod:`repro.sim.columnar`) already pays Python
 overhead per *block* instead of per event, but it still runs one
-replication per call: every replication walks its own modulating chain,
-lays its own candidate blocks, and allocates fresh temporaries.  A
-Monte-Carlo campaign is R independent, identically structured
-replications — exactly the shape that amortizes interpreter overhead to
-near zero when stacked row-wise.  This module runs R replications per
-call:
+replication per call.  This module takes a list of seeds (campaigns call
+it with one seed per job) and runs each row through per-row passes that
+allocate once:
 
 * each row's embedded jump chain is walked in one scalar pass over
   Python floats, one ``bisect`` into the state's cumulative row per jump
   (a vectorized step over all R rows costs a dozen numpy calls, far more
   than R scalar steps at the replication counts campaigns use);
-* ``Poisson(r_max)`` candidate generation and thinning run over a
-  ``(R, block)`` 2-D workspace, rows retiring as they pass the horizon;
-* the FCFS queue is solved by a row-wise chunked Lindley recursion
-  (:func:`lindley_waits_batch`) — 2-D ``cumsum`` / ``minimum.accumulate``
-  per chunk with a per-row scalar carry;
-* a :class:`BatchWorkspace` pool preallocates the candidate and Lindley
-  buffers once per campaign and serves the hot numpy calls through
-  ``out=`` variants.  The walk draws fresh variate blocks per row: their
-  unused tails outlive it as the row's leftovers.
+* ``Poisson(r_max)`` candidates are drawn block by block straight into
+  one array per row and scaled, cumsum-ed and offset in place; thinning
+  then walks the candidates one block-sized chunk at a time, building
+  thresholds, uniforms and the accept mask in :class:`BatchWorkspace`
+  buffers and keeping arrivals with ``np.compress``;
+* the FCFS queue is :func:`repro.sim.columnar.lindley_waits` on each row,
+  and the statistics pass is the sequential engine's own.
 
 Determinism contract (the same domain as the sequential columnar engine)
 ------------------------------------------------------------------------
@@ -33,20 +28,24 @@ with the same seeds and ``block_size``: interleaving draws *across* rows
 is free (independent generators), and within a row the walk, the
 candidate blocks and the thinning uniforms make the sequential engine's
 generator calls in its order, splicing the walk's partly used blocks
-first.  Only ``extras`` metadata differs (``engine="columnar-batched"``
-plus batch bookkeeping).  Golden arrays and hypothesis tests pin this
+first (numpy draws the same values in consecutive pieces as in one
+call).  Only ``extras`` metadata differs (``engine="columnar-batched"``
+plus batch bookkeeping).  Golden arrays, whole-row SHA-256 digests
+(``tests/sim/test_columnar_digests.py``) and hypothesis tests pin this
 contract.
 
 Memory model
 ------------
 The chain walk keeps, per row, its jumps (one float and one int per
 modulating jump) and the unused tails of its last sojourn and uniform
-blocks.  The candidate/thinning/Lindley phase — whose temporaries scale
-with ``horizon * r_max`` per row — processes rows in groups bounded by
-``max_group_bytes`` (default 256 MiB), so peak memory stays flat while
-interpreter overhead is still amortized across the group.
+blocks.  Per row, the candidate phase holds one float array of about
+``horizon * r_max`` plus two blocks, and thinning adds two ``block_size``
+workspace buffers and one chunk of thresholds; the kept arrivals, their
+services and waits, and the statistics temporaries scale with the
+accepted count.  A multi-seed call still runs its rows in groups whose
+estimated size (48 bytes per expected candidate) fits ``max_group_bytes``
+(default 256 MiB); campaigns pass one seed per call.
 """
-
 from __future__ import annotations
 
 import math
@@ -65,8 +64,9 @@ from repro.sim.columnar import (
     _embedded_chain,
     _queue_result_from_waits,
     _service_block,
+    lindley_waits,
 )
-from repro.sim.random_streams import RandomStreams
+from repro.sim.random_streams import ExponentialBatcher, RandomStreams
 from repro.sim.replication import SimulationResult, _validate_window
 
 __all__ = [
@@ -88,12 +88,13 @@ class BatchWorkspace:
     """A keyed pool of reusable numpy buffers for the batched engine.
 
     ``array(key, shape)`` returns a view of a backing buffer that is
-    allocated on first use and grown only when a larger request arrives —
-    across the chunks, groups, and repeated batch calls of a campaign the
-    steady state allocates nothing.  Buffers are plain ``np.empty``
-    storage: callers own initialization.  Pass one workspace to repeated
-    ``simulate_*_columnar_batch`` calls to share the pool; call
-    :meth:`release` to drop the memory when a campaign ends.
+    allocated on first use and grown only when a larger request arrives.
+    Thinning takes its block-sized uniform and accept-mask chunks from
+    here, so across the chunks, rows and repeated batch calls that share
+    a workspace those buffers are allocated once.  Buffers are plain
+    ``np.empty`` storage: callers own initialization.  Pass one workspace
+    to repeated ``simulate_*_columnar_batch`` calls to share the pool;
+    call :meth:`release` to drop the memory when a campaign ends.
     """
 
     __slots__ = ("_buffers",)
@@ -193,51 +194,41 @@ def _blocked_cumulative_rows(
     mean: float,
     horizon: float,
     block_size: int,
-    workspace: BatchWorkspace,
 ) -> list[np.ndarray]:
     """Rate-``1/mean`` Poisson event times on ``(0, horizon]``, per row.
 
-    The 2-D twin of :func:`repro.sim.columnar._cumulative_exponentials`:
-    rows advance block-by-block through one ``(R, block)`` workspace and
-    retire as their running offset passes the horizon.  Each row's first
-    block splices its leftover variates (a partially served walk block)
-    before asking its generator for more — the batcher bit-stream rule.
+    The kernel's twin of :func:`repro.sim.columnar._cumulative_exponentials`.
+    Each row's blocks land in one array sized from the expected count and
+    doubled when a row runs long: a block is drawn straight into its slot,
+    splicing the row's leftover variates first (the batcher bit-stream
+    rule), then scaled, cumsum-ed and offset in place.  Times never
+    decrease, so the ``<= horizon`` cut is a prefix: each row is a view of
+    its array up to a ``searchsorted`` position.  The mean is checked
+    before any draw, with the sequential engine's message.
     """
-    count = len(rngs)
-    blocks = workspace.array("cumulative-blocks", (count, block_size))
-    scaled = workspace.array("cumulative-scaled", (block_size,))
-    pieces: list[list[np.ndarray]] = [[] for _ in range(count)]
-    offsets = np.zeros(count)
-    alive = list(range(count))
-    first = [True] * count
-    while alive:
-        survivors: list[int] = []
-        for row in alive:
-            block = blocks[row]
-            if first[row]:
-                first[row] = False
-                head = leftovers[row]
-                if head.size:
-                    block[: head.size] = head
-                    rngs[row].standard_exponential(out=block[head.size :])
-                else:
-                    rngs[row].standard_exponential(out=block)
-            else:
-                rngs[row].standard_exponential(out=block)
-            np.multiply(block, mean, out=scaled)
-            piece = np.cumsum(scaled)
-            np.add(piece, offsets[row], out=piece)
-            pieces[row].append(piece)
-            offsets[row] = piece[-1]
-            if offsets[row] <= horizon:
-                survivors.append(row)
-        alive = survivors
-    times: list[np.ndarray] = []
-    for row in range(count):
-        merged = np.concatenate(pieces[row])
-        pieces[row].clear()
-        times.append(merged[merged <= horizon])
-    return times
+    ExponentialBatcher._validate_mean(mean)
+    expected_blocks = math.ceil(horizon / mean / block_size) + 1
+    rows: list[np.ndarray] = []
+    for rng, head in zip(rngs, leftovers):
+        times = np.empty(expected_blocks * block_size)
+        filled = 0
+        offset = 0.0
+        while offset <= horizon:
+            if filled == times.size:
+                grown = np.empty(2 * times.size)
+                grown[:filled] = times
+                times = grown
+            block = times[filled : filled + block_size]
+            block[: head.size] = head
+            rng.standard_exponential(out=block[head.size :])
+            head = _EMPTY
+            np.multiply(block, mean, out=block)
+            np.cumsum(block, out=block)
+            np.add(block, offset, out=block)
+            offset = block[-1]
+            filled += block_size
+        rows.append(times[: np.searchsorted(times[:filled], horizon, "right")])
+    return rows
 
 
 def _thin_group(
@@ -250,39 +241,55 @@ def _thin_group(
     block_size: int,
     workspace: BatchWorkspace,
 ) -> list[tuple[np.ndarray, int]]:
-    """Candidates + thinning for one row group: ``(arrivals, candidates)``."""
+    """Candidates + thinning for one row group: ``(arrivals, candidates)``.
+
+    Thinning walks each row's candidates one ``block_size`` chunk at a
+    time through two workspace buffers, so no temporary spans the row.
+    """
     candidate_rows = _blocked_cumulative_rows(
         [rngs[row] for row in rows],
         [walk.sojourn_leftovers[row] for row in rows],
         1.0 / r_max,
         horizon,
         block_size,
-        workspace,
     )
+    uniforms = workspace.array("thin-uniforms", (block_size,))
+    accept = workspace.array("thin-accept", (block_size,), dtype=bool)
     output: list[tuple[np.ndarray, int]] = []
-    for local, row in enumerate(rows):
-        candidates = candidate_rows[local]
+    for candidates, row in zip(candidate_rows, rows):
         # Rate at each candidate: the sequential engine gathers
         # rates[states[searchsorted(jump_times, t, "right")]] per candidate;
-        # with sorted candidates the same map is a run-length expansion —
-        # search the (few) jump times into the (many) candidates and repeat
-        # each visited state's rate across its segment.  Pure integer
+        # with sorted candidates the jump times instead cut the candidates
+        # into one run per visited state, and each chunk repeats the rates
+        # of the runs it overlaps, clipped to the chunk.  Pure integer
         # bookkeeping, so the thresholds are bit-identical.
+        count = candidates.size
         jump_times = walk.jump_times[row]
         cuts = np.empty(jump_times.size + 2, dtype=np.int64)
         cuts[0] = 0
-        cuts[-1] = candidates.size
+        cuts[-1] = count
         cuts[1:-1] = np.searchsorted(candidates, jump_times, side="left")
-        thresholds = np.repeat(rates[walk.states[row]], np.diff(cuts))
+        run_rates = rates[walk.states[row]]
+        # The walk's unused uniforms serve the first candidates; numpy
+        # draws the same values in consecutive pieces as in one call.
         leftover = walk.uniform_leftovers[row]
-        if leftover.size >= candidates.size:
-            uniforms = leftover[: candidates.size]
-        else:
-            uniforms = workspace.array("thin-uniforms", (candidates.size,))
-            uniforms[: leftover.size] = leftover
-            rngs[row].random(out=uniforms[leftover.size :])
-        accept = uniforms * r_max < thresholds
-        output.append((candidates[accept], int(candidates.size)))
+        pieces: list[np.ndarray] = []
+        for start in range(0, count, block_size):
+            stop = min(start + block_size, count)
+            first = int(np.searchsorted(cuts, start, side="right")) - 1
+            last = int(np.searchsorted(cuts, stop, side="left"))
+            runs = np.diff(np.clip(cuts[first : last + 1], start, stop))
+            thresholds = np.repeat(run_rates[first:last], runs)
+            chunk = uniforms[: stop - start]
+            spliced = min(max(leftover.size - start, 0), chunk.size)
+            chunk[:spliced] = leftover[start : start + spliced]
+            if spliced < chunk.size:
+                rngs[row].random(out=chunk[spliced:])
+            np.multiply(chunk, r_max, out=chunk)
+            keep = np.less(chunk, thresholds, out=accept[: chunk.size])
+            pieces.append(np.compress(keep, candidates[start:stop]))
+        arrivals = np.concatenate(pieces) if pieces else np.empty(0)
+        output.append((arrivals, count))
     return output
 
 
@@ -291,88 +298,18 @@ def _lindley_rows(
     service_rows: Sequence[np.ndarray],
     chunk_size: int,
     initial_wait: float,
-    workspace: BatchWorkspace,
 ) -> list[np.ndarray]:
-    """Row-wise chunked Lindley recursion over a padded ``(R, N)`` matrix.
+    """:func:`repro.sim.columnar.lindley_waits` over each row in turn.
 
-    Returns *views* into the workspace's wait buffer (valid until the next
-    Lindley call on the same workspace).  Rows are padded by repeating the
-    last arrival with zero services, so padded increments are zero and the
-    per-row scalar carry stays exact for short rows; every real column is
-    bit-identical to :func:`repro.sim.columnar.lindley_waits` on that row
-    (same chunk boundaries, same strictly-sequential ``cumsum`` /
-    ``minimum.accumulate`` per row, same carry arithmetic).
+    Each row is the sequential recursion itself, so rows are bit-identical
+    to it by construction.
     """
     if len(arrival_rows) != len(service_rows):
         raise ValueError("need matching arrival and service row lists")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if not math.isfinite(initial_wait) or initial_wait < 0.0:
-        raise ValueError(
-            f"initial_wait must be finite and >= 0 (got {initial_wait})"
-        )
-    count = len(arrival_rows)
-    arrivals: list[np.ndarray] = []
-    services: list[np.ndarray] = []
-    sizes: list[int] = []
-    for arrival_row, service_row in zip(arrival_rows, service_rows):
-        arrival = np.ascontiguousarray(arrival_row, dtype=float)
-        service = np.ascontiguousarray(service_row, dtype=float)
-        if arrival.ndim != 1 or arrival.shape != service.shape:
-            raise ValueError(
-                "arrival and service arrays must be 1-D and aligned"
-            )
-        if arrival.size and (
-            not np.isfinite(service).all() or (service < 0.0).any()
-        ):
-            raise ValueError("service times must be finite and non-negative")
-        arrivals.append(arrival)
-        services.append(service)
-        sizes.append(arrival.size)
-    width = max(sizes, default=0)
-    if count == 0 or width == 0:
-        return [np.empty(0) for _ in range(count)]
-
-    arrival_pad = workspace.array("lindley-arrivals", (count, width))
-    service_pad = workspace.array("lindley-services", (count, width))
-    waits = workspace.array("lindley-waits", (count, width))
-    for row in range(count):
-        size = sizes[row]
-        arrival_pad[row, :size] = arrivals[row]
-        arrival_pad[row, size:] = arrivals[row][size - 1] if size else 0.0
-        service_pad[row, :size] = services[row]
-        service_pad[row, size:] = 0.0
-    waits[:, 0] = initial_wait
-    carry = workspace.array("lindley-carry", (count,))
-    carry[:] = initial_wait
-    for start in range(1, width, chunk_size):
-        stop = min(start + chunk_size, width)
-        span = stop - start
-        increments = workspace.array("lindley-increments", (count, span))
-        np.subtract(
-            arrival_pad[:, start:stop],
-            arrival_pad[:, start - 1 : stop - 1],
-            out=increments,
-        )
-        if (increments < 0.0).any():
-            raise ValueError("arrival times must be non-decreasing")
-        np.subtract(
-            service_pad[:, start - 1 : stop - 1], increments, out=increments
-        )
-        prefix = workspace.array("lindley-prefix", (count, span + 1))
-        prefix[:, 0] = 0.0
-        np.cumsum(increments, axis=1, out=prefix[:, 1:])
-        scratch = workspace.array("lindley-scratch", (count, span))
-        np.minimum.accumulate(prefix[:, :-1], axis=1, out=scratch)
-        body = prefix[:, 1:]
-        chunk = workspace.array("lindley-chunk", (count, span))
-        np.subtract(body, scratch, out=chunk)
-        np.add(carry[:, None], body, out=scratch)
-        np.maximum(chunk, scratch, out=chunk)
-        np.maximum(chunk, 0.0, out=chunk)
-        waits[:, start:stop] = chunk
-        carry[:] = chunk[:, -1]
-    return [waits[row, : sizes[row]] for row in range(count)]
+    return [
+        lindley_waits(arrivals, services, chunk_size, initial_wait)
+        for arrivals, services in zip(arrival_rows, service_rows)
+    ]
 
 
 def lindley_waits_batch(
@@ -382,23 +319,15 @@ def lindley_waits_batch(
     initial_wait: float = 0.0,
     workspace: BatchWorkspace | None = None,
 ) -> list[np.ndarray]:
-    """FCFS waits for R replications at once, row-wise chunked.
+    """FCFS waits for R replications, one :func:`lindley_waits` per row.
 
-    The 2-D counterpart of :func:`repro.sim.columnar.lindley_waits`: rows
-    are padded into one ``(R, N)`` matrix and each chunk is one
-    ``cumsum(axis=1)`` + ``minimum.accumulate(axis=1)`` pass with a
-    per-row scalar carry.  Every returned row is **bit-identical** to
-    ``lindley_waits`` on that row alone (the per-row arithmetic and chunk
-    boundaries are unchanged; only interpreter overhead is shared), and
-    ``chunk_size`` remains outside the determinism contract exactly as in
-    the 1-D case.
+    Every returned row is **bit-identical** to ``lindley_waits`` on that
+    row alone, and ``chunk_size`` stays outside the determinism contract
+    exactly as in the 1-D case.  ``workspace`` is accepted and unused.
     """
-    workspace = BatchWorkspace() if workspace is None else workspace
-    rows = _lindley_rows(
-        list(arrival_rows), list(service_rows), chunk_size, initial_wait,
-        workspace,
+    return _lindley_rows(
+        list(arrival_rows), list(service_rows), chunk_size, initial_wait
     )
-    return [row.copy() for row in rows]
 
 
 def _mmpp_walks(
@@ -471,8 +400,9 @@ def sample_mmpp_streams_batch(
     Row ``k`` is bit-identical (arrivals, jump times, states, candidate
     count) to ``sample_mmpp_stream(mmpp, horizon, rngs[k], ...)`` with a
     fresh generator in the same state — the batched determinism contract.
-    Memory scales with ``R * horizon`` for the retained streams; the
-    candidate phase itself is bounded by ``max_group_bytes``.
+    Memory scales with ``R * horizon`` for the retained streams; while a
+    row is thinned it also holds its candidate array (about
+    ``horizon * r_max`` floats) and two block-sized workspace buffers.
     """
     rngs = list(rngs)
     if not rngs:
@@ -540,7 +470,6 @@ def simulate_poisson_columnar_batch(
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         return []
-    workspace = BatchWorkspace() if workspace is None else workspace
     results: list[SimulationResult | None] = [None] * len(seeds)
     group_rows = _rows_per_group(
         horizon * rate * 8.0 * 5.0, max_group_bytes, len(seeds)
@@ -557,7 +486,6 @@ def simulate_poisson_columnar_batch(
                 1.0 / rate,
                 horizon,
                 block_size,
-                workspace,
             )
         service_rows = [
             _service_block(
@@ -568,9 +496,7 @@ def simulate_poisson_columnar_batch(
             )
             for local in range(len(group))
         ]
-        wait_rows = _lindley_rows(
-            arrival_rows, service_rows, chunk_size, 0.0, workspace
-        )
+        wait_rows = _lindley_rows(arrival_rows, service_rows, chunk_size, 0.0)
         for local in range(len(group)):
             results[start + local] = _queue_result_from_waits(
                 arrival_rows[local],
@@ -644,9 +570,7 @@ def simulate_mmpp_columnar_batch(
             )
             for local, row in enumerate(rows)
         ]
-        wait_rows = _lindley_rows(
-            arrival_rows, service_rows, chunk_size, 0.0, workspace
-        )
+        wait_rows = _lindley_rows(arrival_rows, service_rows, chunk_size, 0.0)
         for local, row in enumerate(rows):
             jumps = int(walk.jump_times[row].size)
             results[row] = _queue_result_from_waits(

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.markov.mmpp import MMPP
@@ -478,3 +478,111 @@ class TestEmbeddedRowsVectorized:
             ]
         )
         self._check(CTMC(sp.csr_matrix(dense)))
+
+
+def _mask_queue_result(arrivals, services, waits, horizon, warmup, source_events):
+    """The statistics pass written with a boolean mask for every selection
+    and a clip for every overlap: the reference the shared pass, which
+    selects by suffix and ``compress``, must match bit for bit."""
+    observed = max(horizon - warmup, 1e-12)
+    starts = arrivals + waits
+    departures = starts + services
+    delays = waits + services
+    post_warmup = arrivals >= warmup
+    arrivals_total = int(np.count_nonzero(post_warmup))
+    in_horizon = departures <= horizon
+    served = post_warmup & in_horizon
+    observed_delays = delays[served]
+    messages_served = int(observed_delays.size)
+    busy_overlap = np.clip(
+        np.minimum(departures, horizon) - np.maximum(starts, warmup), 0.0, None
+    )
+    presence_overlap = np.clip(
+        np.minimum(departures, horizon) - np.maximum(arrivals, warmup), 0.0, None
+    )
+    return {
+        "mean_delay": (
+            float(observed_delays.mean()) if messages_served else math.nan
+        ),
+        "mean_wait": float(waits[served].mean()) if messages_served else math.nan,
+        "sigma": (
+            float(np.count_nonzero(waits[post_warmup] > 0.0) / arrivals_total)
+            if arrivals_total
+            else math.nan
+        ),
+        "utilization": float(busy_overlap.sum() / observed),
+        "mean_queue_length": float(presence_overlap.sum() / observed),
+        "messages_served": messages_served,
+        "effective_arrival_rate": arrivals_total / observed,
+        "horizon": horizon,
+        "delay_variance": (
+            float(observed_delays.var(ddof=1)) if messages_served >= 2 else math.nan
+        ),
+        "events_processed": int(
+            arrivals.size + np.count_nonzero(in_horizon) + source_events
+        ),
+    }
+
+
+@st.composite
+def _queue_pass_inputs(draw):
+    """Sorted arrivals with ties, and waits free of any queue law, so
+    departures are not monotone; warmup is often an arrival time."""
+    size = draw(st.integers(min_value=0, max_value=40))
+    times = st.integers(min_value=0, max_value=400).map(lambda n: n / 4.0)
+    arrivals = np.sort(draw(st.lists(times, min_size=size, max_size=size)))
+    floats = st.floats(min_value=0.0, max_value=30.0)
+    services = np.array(draw(st.lists(floats, min_size=size, max_size=size)))
+    waits = np.array(draw(st.lists(floats, min_size=size, max_size=size)))
+    horizon = draw(st.floats(min_value=1.0, max_value=130.0))
+    if size and draw(st.booleans()):
+        warmup = float(arrivals[draw(st.integers(0, size - 1))])
+    else:
+        warmup = draw(st.floats(min_value=0.0, max_value=120.0))
+    return arrivals.astype(float), services, waits, horizon, warmup
+
+
+def _queue_case(arrivals, services, waits, horizon, warmup):
+    return tuple(
+        np.array(values, dtype=float) for values in (arrivals, services, waits)
+    ) + (horizon, warmup)
+
+
+class TestQueueResultPass:
+    """The shared statistics pass equals its mask-based reference, field
+    for field and bit for bit (NaN equal to NaN), and leaves its inputs
+    alone."""
+
+    @given(case=_queue_pass_inputs())
+    # Warmup equal to an arrival time (two arrivals at it).
+    @example(
+        case=_queue_case(
+            [1.0, 2.0, 2.0, 3.0], [0.5] * 4, [0.0, 1.0, 0.0, 2.0], 9.0, 2.0
+        )
+    )
+    # Every arrival before warmup.
+    @example(case=_queue_case([1.0, 2.0], [0.5, 0.5], [0.0, 0.0], 9.0, 5.0))
+    # Departures past the horizon.
+    @example(
+        case=_queue_case([1.0, 2.0, 3.0], [1.0] * 3, [0.0, 5.0, 9.0], 6.0, 0.5)
+    )
+    # No arrivals.
+    @example(case=_queue_case([], [], [], 9.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_mask_reference(self, case):
+        from repro.sim.columnar import _queue_result_from_waits
+
+        arrivals, services, waits, horizon, warmup = case
+        inputs = [arrivals.copy(), services.copy(), waits.copy()]
+        result = _queue_result_from_waits(
+            arrivals, services, waits, horizon, warmup, 3, {}
+        )
+        expected = _mask_queue_result(arrivals, services, waits, horizon, warmup, 3)
+        for field, value in expected.items():
+            got = getattr(result, field)
+            if isinstance(value, float):
+                assert float(got).hex() == value.hex(), field
+            else:
+                assert got == value, field
+        for before, after in zip(inputs, (arrivals, services, waits)):
+            assert np.array_equal(before, after)

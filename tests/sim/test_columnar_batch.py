@@ -11,16 +11,19 @@ statistical cost.  These tests pin that contract three ways:
 * the BENCH_6 golden stream (seed 2024) must fall out of the batched
   sampler unchanged — same arrays the sequential sampler locks;
 * unit tests cover the sharp edges: absorbing modulating chains, zero
-  rates, workspace reuse, group splitting, the walk's block boundaries
-  and rounding clamp (stream-level, against the sequential sampler), and
-  the batched Lindley recursion against its 1-D twin.
+  and subnormal rates, workspace reuse, group splitting, the walk's
+  block boundaries and rounding clamp, the candidate array's growth and
+  thinning's chunk edges (stream-level, against the sequential sampler),
+  and the batched Lindley recursion against its 1-D twin.
 """
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.markov.mmpp import MMPP
@@ -70,6 +73,22 @@ def assert_rows_bit_identical(sequential, batched, context=""):
         extras.pop("engine", None)
         extras.pop("batch_rows", None)
     assert left_extras == right_extras, context
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as error:  # noqa: BLE001 — the error is the outcome
+        return type(error), str(error)
+
+
+def assert_same_outcomes(sequential, batched, context=""):
+    """Bit-identical rows, or the same exception type and message."""
+    if isinstance(sequential, tuple) or isinstance(batched, tuple):
+        assert sequential == batched, context
+    else:
+        assert_rows_bit_identical(sequential, batched, context)
 
 
 def _two_state_mmpp(rate_low=1.0, rate_high=12.0):
@@ -150,65 +169,83 @@ def _mmpp_batch_cases(draw):
     }
 
 
+#: A rate whose reciprocal overflows: the candidate mean is ``inf``.
+_SUBNORMAL_RATE = 5e-324
+_INF_MEAN = "exponential mean must be positive and finite (got inf)"
+
+
 class TestBitIdentityProperty:
     @given(case=_mmpp_batch_cases())
+    @example(
+        case={
+            "mmpp": _two_state_mmpp(0.0, _SUBNORMAL_RATE),
+            "horizon": 100.0,
+            "initial_state": 0,
+            "block_size": 8,
+            "chunk_size": 7,
+            "base_seed": 0,
+            "rows": 2,
+        }
+    )
     @settings(max_examples=25, deadline=None)
     def test_mmpp_batch_rows_match_sequential(self, case):
         seeds = list(range(case["base_seed"], case["base_seed"] + case["rows"]))
-        batched = simulate_mmpp_columnar_batch(
-            case["mmpp"],
-            case["horizon"],
-            14.0,
-            seeds,
-            initial_state=case["initial_state"],
-            block_size=case["block_size"],
-            chunk_size=case["chunk_size"],
-        )
-        for seed, row in zip(seeds, batched):
-            sequential = simulate_mmpp_columnar(
-                case["mmpp"],
-                case["horizon"],
-                14.0,
-                seed=seed,
-                initial_state=case["initial_state"],
-                block_size=case["block_size"],
-                chunk_size=case["chunk_size"],
+        options = {
+            "initial_state": case["initial_state"],
+            "block_size": case["block_size"],
+            "chunk_size": case["chunk_size"],
+        }
+        batched = _outcome(
+            lambda: simulate_mmpp_columnar_batch(
+                case["mmpp"], case["horizon"], 14.0, seeds, **options
             )
-            assert_rows_bit_identical(sequential, row, f"seed={seed} ")
+        )
+        for index, seed in enumerate(seeds):
+            sequential = _outcome(
+                lambda: simulate_mmpp_columnar(
+                    case["mmpp"], case["horizon"], 14.0, seed=seed, **options
+                )
+            )
+            row = batched if isinstance(batched, tuple) else batched[index]
+            assert_same_outcomes(sequential, row, f"seed={seed} ")
 
     @given(
-        # Subnormal rates overflow the 1/rate exponential mean to inf;
-        # exact 0.0 stays in (the handled no-arrivals edge).
-        rate=st.floats(min_value=0.0, max_value=20.0, allow_subnormal=False),
+        # Subnormal rates overflow the 1/rate exponential mean to inf: both
+        # engines must then raise the same error.
+        rate=st.floats(min_value=0.0, max_value=20.0),
         horizon=st.floats(min_value=40.0, max_value=400.0),
         block_size=st.integers(min_value=8, max_value=128),
         chunk_size=st.integers(min_value=1, max_value=512),
         base_seed=st.integers(min_value=0, max_value=2**20),
         rows=st.integers(min_value=1, max_value=5),
     )
+    @example(
+        rate=_SUBNORMAL_RATE,
+        horizon=100.0,
+        block_size=8,
+        chunk_size=7,
+        base_seed=0,
+        rows=2,
+    )
     @settings(max_examples=25, deadline=None)
     def test_poisson_batch_rows_match_sequential(
         self, rate, horizon, block_size, chunk_size, base_seed, rows
     ):
         seeds = list(range(base_seed, base_seed + rows))
-        batched = simulate_poisson_columnar_batch(
-            rate,
-            horizon,
-            9.0,
-            seeds,
-            block_size=block_size,
-            chunk_size=chunk_size,
-        )
-        for seed, row in zip(seeds, batched):
-            sequential = simulate_poisson_columnar(
-                rate,
-                horizon,
-                9.0,
-                seed=seed,
-                block_size=block_size,
-                chunk_size=chunk_size,
+        options = {"block_size": block_size, "chunk_size": chunk_size}
+        batched = _outcome(
+            lambda: simulate_poisson_columnar_batch(
+                rate, horizon, 9.0, seeds, **options
             )
-            assert_rows_bit_identical(sequential, row, f"seed={seed} ")
+        )
+        for index, seed in enumerate(seeds):
+            sequential = _outcome(
+                lambda: simulate_poisson_columnar(
+                    rate, horizon, 9.0, seed=seed, **options
+                )
+            )
+            row = batched if isinstance(batched, tuple) else batched[index]
+            assert_same_outcomes(sequential, row, f"seed={seed} ")
 
     @given(
         base_seed=st.integers(min_value=0, max_value=2**16),
@@ -299,6 +336,24 @@ class TestSharpEdges:
         workspace.release()
         assert workspace.nbytes == 0
 
+    def test_overflowing_mmpp_candidate_mean_raises_like_sequential(self):
+        # r_max = 5e-324, so 1/r_max is inf: no candidate can be drawn.
+        mmpp = _two_state_mmpp(0.0, _SUBNORMAL_RATE)
+        with pytest.raises(ValueError, match=re.escape(_INF_MEAN)):
+            simulate_mmpp_columnar(mmpp, 100.0, 14.0, seed=1, initial_state=0)
+        with pytest.raises(ValueError, match=re.escape(_INF_MEAN)):
+            simulate_mmpp_columnar_batch(mmpp, 100.0, 14.0, [1], initial_state=0)
+        with pytest.raises(ValueError, match=re.escape(_INF_MEAN)):
+            sample_mmpp_streams_batch(
+                mmpp, 100.0, [np.random.default_rng(1)], initial_state=0
+            )
+
+    def test_overflowing_poisson_mean_raises_like_sequential(self):
+        with pytest.raises(ValueError, match=re.escape(_INF_MEAN)):
+            simulate_poisson_columnar(_SUBNORMAL_RATE, 100.0, 9.0, seed=1)
+        with pytest.raises(ValueError, match=re.escape(_INF_MEAN)):
+            simulate_poisson_columnar_batch(_SUBNORMAL_RATE, 100.0, 9.0, [1, 2])
+
     def test_empty_seed_list_returns_empty(self):
         assert simulate_poisson_columnar_batch(5.0, 100.0, 9.0, []) == []
 
@@ -314,16 +369,16 @@ class TestSharpEdges:
 
 
 def _assert_streams_match_sequential(
-    mmpp, horizon, seeds, initial_state, block_size
+    mmpp, horizon, seeds, initial_state, block_size, make_rng=np.random.default_rng
 ):
     """Batched streams equal sequential ones bitwise, and every generator
     ends in the same state; returns the batched streams."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [make_rng(seed) for seed in seeds]
     batched = sample_mmpp_streams_batch(
         mmpp, horizon, rngs, initial_state=initial_state, block_size=block_size
     )
     for seed, rng, row in zip(seeds, rngs, batched):
-        own = np.random.default_rng(seed)
+        own = make_rng(seed)
         sequential = sample_mmpp_stream(
             mmpp, horizon, own, initial_state=initial_state, block_size=block_size
         )
@@ -398,6 +453,23 @@ class TestWalkBlockEdges:
         lengths = [row.num_jumps for row in batched]
         assert max(lengths) > 10 * min(lengths)
 
+    def test_leftover_uniforms_cover_every_candidate(self):
+        # A short walk out of one large uniform block leaves more uniforms
+        # than there are candidates: thinning draws none.
+        batched = _assert_streams_match_sequential(
+            _two_state_mmpp(), 30.0, [1, 2, 3], 0, 4_096
+        )
+        for row in batched:
+            assert 0 < row.candidates <= 4_096 - row.num_jumps
+
+    def test_row_with_no_candidates(self):
+        mmpp = _two_state_mmpp(rate_low=1e-4, rate_high=2e-4)
+        batched = _assert_streams_match_sequential(mmpp, 5.0, [1, 2, 3], 0, 8)
+        for row in batched:
+            assert row.num_jumps > 0
+            assert row.candidates == 0
+            assert row.arrivals.size == 0
+
 
 class _TopUniforms:
     """A generator whose every uniform is the largest double below 1."""
@@ -414,6 +486,78 @@ class _TopUniforms:
             return np.full(size, top)
         out.fill(top)
         return out
+
+
+class _StubExponentials:
+    """A generator whose exponentials are ``transform`` of its real ones.
+
+    Uniforms and ``bit_generator`` are the wrapped generator's, so two
+    engines' generator states still compare.
+    """
+
+    def __init__(self, seed, transform):
+        self._rng = np.random.default_rng(seed)
+        self._transform = transform
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def standard_exponential(self, size=None, out=None):
+        values = self._rng.standard_exponential(size, out=out)
+        values[...] = self._transform(values)
+        return values
+
+    def random(self, size=None, out=None):
+        return self._rng.random(size, out=out)
+
+
+class TestThinningChunks:
+    """Stream-level bit identity where the kernel's candidate array and
+    its block-sized thinning chunks meet their edges."""
+
+    def test_rows_longer_than_the_preallocation_grow(self):
+        # Exponentials at a quarter of their size put about four times the
+        # expected horizon * r_max candidates before the horizon; the
+        # kernel preallocates that expectation plus about two blocks.
+        horizon, block_size = 100.0, 64
+        batched = _assert_streams_match_sequential(
+            _two_state_mmpp(),
+            horizon,
+            [1, 2],
+            0,
+            block_size,
+            make_rng=lambda seed: _StubExponentials(seed, lambda v: 0.25 * v),
+        )
+        for row in batched:
+            assert row.candidates > 2 * (horizon * 12.0 + 2 * block_size)
+
+    @pytest.mark.parametrize("block_size", [3, 9])
+    def test_exact_lattice_chunk_edges(self, block_size):
+        # Every exponential is 1.0 and every mean a power of two, so times
+        # are exact: candidates sit at 0.25 k (r_max = 4) and the chain
+        # jumps at 16, 18, 34 and 36.  Jump t cuts the candidates at
+        # 4 t - 1: cuts 63 and 135 fall on chunk boundaries, the 144
+        # candidates fill whole chunks, and state 0's first run of 63
+        # candidates spans several chunks.
+        generator = np.array([[-1.0 / 16.0, 1.0 / 16.0], [0.5, -0.5]])
+        mmpp = MMPP(generator, np.array([1.0, 4.0]))
+        batched = _assert_streams_match_sequential(
+            mmpp,
+            36.0,
+            [4, 5],
+            0,
+            block_size,
+            make_rng=lambda seed: _StubExponentials(seed, lambda v: 1.0),
+        )
+        for row in batched:
+            assert row.jump_times.tolist() == [16.0, 18.0, 34.0, 36.0]
+            cuts = (4 * row.jump_times - 1).astype(int).tolist()
+            assert [cut % block_size for cut in (cuts[0], cuts[2])] == [0, 0]
+            assert row.candidates == 144
+            assert row.candidates % block_size == 0
+            assert cuts[0] > 2 * block_size
+            assert 0 < row.arrivals.size < row.candidates
 
 
 class TestRoundingClamp:
