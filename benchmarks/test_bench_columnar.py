@@ -9,8 +9,9 @@ seed per job through the replication-batched kernel
 (``repro.sim.columnar``) is the bit-identity reference.  Three benches:
 
 * ``test_columnar_headline_campaign`` — the BENCH_6 throughput gate: the
-  headline campaign (4 seeds, shared-memory result transport) must sustain
-  >= 1M events/sec where the heap engine managed ~273k (BENCH_4).
+  headline campaign (4 seeds, each worker returning its row of scalars)
+  must sustain >= 1M events/sec where the heap engine managed ~273k
+  (BENCH_4).
 * ``test_columnar_batched_headline_campaign`` — the BENCH_8 gate: a
   32-seed campaign under ``engine="columnar-batched"`` (one kernel call
   per seed: a per-row chain walk, then thinning and Lindley) must sustain
@@ -58,8 +59,8 @@ def test_columnar_headline_campaign(benchmark, report, scale):
     )
     delay = campaign.summaries()["mean_delay"]
     report(
-        "Columnar headline campaign (4-seed M/HAP-approx, shared-memory "
-        "transport; BENCH_6 gate: >= 1M events/s)",
+        "Columnar headline campaign (4-seed M/HAP-approx, per-seed rows; "
+        "BENCH_6 gate: >= 1M events/s)",
         f"mean delay {delay.mean:.4f} +/- {delay.half_width():.2g} s, "
         f"{campaign.events_per_second:,.0f} events/s "
         f"({campaign.max_workers} worker(s), "

@@ -567,25 +567,14 @@ def _simulation_task(params, horizon: float, rng_mode: str, backend: str | None,
         )
 
 
-def _columnar_simulation_task(params, horizon: float, seed: int):
-    """Picklable columnar campaign task for ``simulate --engine columnar``
-    (or ``columnar-batched``): the seed runs as a batch of one through the
-    replication-batched kernel.
-
-    Each worker builds the (LRU-cached, per-process) symmetric MMPP mapping
-    once, then every replication it runs reuses the cached chain.
-    """
-    from repro.sim.columnar import simulate_hap_approx_columnar_batch
-
-    return simulate_hap_approx_columnar_batch(params, horizon, [seed])[0]
-
-
 def _simulate_once(hap, args: argparse.Namespace):
     """One replication on the ``--engine`` the command names."""
     from repro.markov.spectral import use_backend
 
     if args.engine != "heap":
-        return _columnar_simulation_task(hap.params, args.horizon, args.seed)
+        from repro.runtime.columnar import hap_approx_columnar_task
+
+        return hap_approx_columnar_task(hap.params, args.horizon, args.seed)
     with use_backend(getattr(args, "backend", None)):
         return hap.simulate(
             horizon=args.horizon, seed=args.seed, rng_mode=args.rng_mode
@@ -620,6 +609,7 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
 def _command_simulate_campaign(args: argparse.Namespace, hap, out) -> int:
     from functools import partial
 
+    from repro.runtime.columnar import hap_approx_columnar_task
     from repro.runtime.executor import ParallelReplicator
     from repro.runtime.resilience import as_journal
 
@@ -654,7 +644,7 @@ def _command_simulate_campaign(args: argparse.Namespace, hap, out) -> int:
             getattr(args, "backend", None),
         )
     else:
-        task = partial(_columnar_simulation_task, hap.params, args.horizon)
+        task = partial(hap_approx_columnar_task, hap.params, args.horizon)
     campaign = ParallelReplicator(
         max_workers=args.workers,
         policy=_retry_policy_from_args(args),

@@ -18,6 +18,7 @@ from repro.core.solution1 import solve_solution1
 from repro.core.solution2 import solve_solution2
 from repro.experiments.configs import base_parameters
 from repro.queueing.mm1 import solve_mm1
+from repro.runtime.columnar import hap_approx_columnar_task
 from repro.runtime.executor import CampaignResult, ParallelReplicator
 from repro.sim.replication import simulate_hap_mm1
 
@@ -203,19 +204,6 @@ def run_headline_campaign(
     return HeadlineCampaignResult(headline=headline, campaign=campaign)
 
 
-def _headline_columnar_task(params, horizon, seed):
-    """Picklable columnar campaign task over the headline parameters: the
-    seed runs as a batch of one through the replication-batched kernel.
-
-    Imported lazily so loading the experiments package never pulls the
-    columnar stack in; each worker builds the (per-process LRU-cached)
-    symmetric MMPP mapping once and reuses it across its replications.
-    """
-    from repro.sim.columnar import simulate_hap_approx_columnar_batch
-
-    return simulate_hap_approx_columnar_batch(params, horizon, [seed])[0]
-
-
 def run_headline_columnar_campaign(
     num_replications: int = 4,
     sim_horizon: float = 400_000.0,
@@ -229,8 +217,8 @@ def run_headline_columnar_campaign(
     simulation leg, but each replication generates its whole M/HAP-approx
     arrival stream as numpy arrays and solves the queue with the vectorized
     Lindley recursion, one seed per job through the replication-batched
-    kernel (:mod:`repro.sim.columnar_batch`), with results transported
-    through one shared-memory matrix.  Each row is bit-identical to the
+    kernel (:mod:`repro.sim.columnar_batch`), each worker returning its
+    row of scalars to the campaign.  Each row is bit-identical to the
     sequential engine's (:mod:`repro.sim.columnar`) for the same seed.
     ``engine`` accepts ``"columnar"`` and ``"columnar-batched"``, two names
     for this one path.  Returns the raw campaign — callers compare its
@@ -244,7 +232,7 @@ def run_headline_columnar_campaign(
         )
     params = base_parameters(service_rate=20.0)
     campaign = ParallelReplicator(max_workers=max_workers, engine=engine).run(
-        partial(_headline_columnar_task, params, sim_horizon),
+        partial(hap_approx_columnar_task, params, sim_horizon),
         num_replications,
         base_seed=base_seed,
     )

@@ -1,19 +1,13 @@
-"""Shared-memory campaign fan-out for the columnar engine.
+"""Columnar campaign fan-out: one compact row of scalars per seed.
 
 A heap-engine campaign ships one pickled
 :class:`~repro.sim.replication.SimulationResult` per replication back
 through the process pool.  Columnar replications reduce to a fixed vector
-of scalars (:data:`COLUMNAR_FIELDS`), so a campaign can instead allocate
-one ``multiprocessing.shared_memory`` float64 matrix — one row per
-replication — that workers write in place.  The parent never unpickles
-result payloads; it reads the matrix.
-
-Checkpointing still works: each worker *also* returns its row as a plain
-tuple, which is what :func:`~repro.runtime.executor.run_jobs` journals and
-what a resumed campaign splices back (a fresh shared-memory block cannot
-contain rows written before the crash).  Fresh rows are read from shared
-memory; resumed rows come from the journal — byte-for-byte the same
-numbers, since the journal stores exactly what the worker wrote.
+of scalars (:data:`COLUMNAR_FIELDS`), so each worker returns only that
+row, as a plain tuple of floats.  The pool pickles the tuple back, the
+checkpoint journal stores it, and a resumed campaign splices the journaled
+tuple back in: fresh and resumed rows are the same numbers in the same
+form.
 
 The public entry point is :class:`~repro.runtime.executor.ParallelReplicator`
 with ``engine="columnar"`` (or :func:`run_columnar_campaign` directly);
@@ -24,27 +18,23 @@ unchanged.  ``engine="columnar-batched"`` is a second name for the same
 path.
 
 Dispatch is one seed per job under both names: ``task(seed)`` returns one
-columnar result.  The package's own tasks run that seed as a batch of one
-through the replication-batched kernel (:mod:`repro.sim.columnar_batch`),
-whose rows are bit-identical to the sequential engine's.  Timeouts,
-retries, failures, and checkpoint journal keys (``seed=<seed>``) are all
-per seed, so a journal resumes under any worker count or a larger
-replication count.  A journal written by the former seed-group dispatch,
-which keyed each group by its seed span, splices nothing: resuming from
-it re-runs every seed, with identical results.  A batched task
-(``task(seeds) -> list``) is no longer a valid task; each seed it is
-handed fails.
+columnar result.  The package's own task, :func:`hap_approx_columnar_task`,
+runs that seed as a batch of one through the replication-batched kernel
+(:mod:`repro.sim.columnar_batch`), whose rows are bit-identical to the
+sequential engine's.  Timeouts, retries, failures, and checkpoint journal
+keys (``seed=<seed>``) are all per seed, so a journal resumes under any
+worker count or a larger replication count.  A journal written by the
+former seed-group dispatch, which keyed each group by its seed span,
+splices nothing: resuming from it re-runs every seed, with identical
+results.  A batched task (``task(seeds) -> list``) is no longer a valid
+task; each seed it is handed fails.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import shared_memory
-
-import numpy as np
 
 from repro.runtime.executor import (
     CampaignResult,
@@ -58,6 +48,7 @@ from repro.runtime.resilience import CheckpointJournal, RetryPolicy
 __all__ = [
     "COLUMNAR_FIELDS",
     "ColumnarReplication",
+    "hap_approx_columnar_task",
     "run_columnar_campaign",
 ]
 
@@ -105,42 +96,33 @@ class ColumnarReplication:
         return cls(**values)
 
 
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without registering a tracker claim.
+def _columnar_worker(task: Callable, seed: int) -> tuple[float, ...]:
+    """Run one columnar replication and return its row.
 
-    Workers must not let the resource tracker unlink the parent's block
-    when they exit; ``track=False`` exists from Python 3.13, older
-    interpreters never tracked attachments from pool workers spawned via
-    fork, so plain attachment is the correct fallback.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover — pre-3.13 signature
-        return shared_memory.SharedMemory(name=name)
-
-
-def _columnar_worker(task: Callable, shm_name: str, base_seed: int, seed: int):
-    """Run one columnar replication and publish its row.
-
-    Module-level (pickles into pool workers); the campaign binds ``task``,
-    ``shm_name``, and ``base_seed`` with :func:`functools.partial`.  The
-    returned tuple is the journal/retry payload; the shared-memory write is
-    the fast path the parent reads.
+    Module-level (pickles into pool workers); the campaign binds ``task``
+    with :func:`functools.partial`.  The returned tuple is what travels
+    back through the pool and what the checkpoint journal stores.
     """
     result = task(seed)
-    row = tuple(float(getattr(result, name)) for name in COLUMNAR_FIELDS)
-    shm = _attach(shm_name)
-    try:
-        matrix = np.ndarray(
-            (len(row),),
-            dtype=np.float64,
-            buffer=shm.buf,
-            offset=(seed - base_seed) * len(row) * 8,
-        )
-        matrix[:] = row
-    finally:
-        shm.close()
-    return row
+    return tuple(float(getattr(result, name)) for name in COLUMNAR_FIELDS)
+
+
+def hap_approx_columnar_task(params, horizon: float, seed: int):
+    """One M/HAP-approx/1 replication of ``seed`` through the columnar kernel.
+
+    The campaign task of ``simulate --engine columnar`` (or
+    ``columnar-batched``) and of
+    :func:`~repro.experiments.headline.run_headline_columnar_campaign`:
+    bind ``params`` and ``horizon`` with :func:`functools.partial` and it
+    pickles into pool workers.  The seed runs as a batch of one through
+    :func:`~repro.sim.columnar_batch.simulate_hap_approx_columnar_batch`,
+    imported lazily so importing the runtime package never pulls the
+    columnar stack in; each worker builds the (per-process LRU-cached)
+    symmetric MMPP mapping once and reuses it across its replications.
+    """
+    from repro.sim.columnar_batch import simulate_hap_approx_columnar_batch
+
+    return simulate_hap_approx_columnar_batch(params, horizon, [seed])[0]
 
 
 def run_columnar_campaign(
@@ -154,59 +136,35 @@ def run_columnar_campaign(
     checkpoint: CheckpointJournal | str | None = None,
     resume: bool = False,
 ) -> CampaignResult:
-    """Fan a columnar task out over a campaign through shared memory.
+    """Fan a columnar task out over a campaign, one row per seed.
 
     Same seed derivation, failure semantics, retry/checkpoint behaviour,
     and :class:`~repro.runtime.executor.CampaignResult` contract as the
-    heap path — the only difference is the transport: workers write
-    :data:`COLUMNAR_FIELDS` rows into one shared-memory matrix instead of
-    pickling full result objects back.  ``task(seed)`` returns one columnar
-    result and must be picklable for the pool to be used (the usual
-    :func:`functools.partial` over a module-level function); otherwise the
-    campaign degrades to the identical in-process path, which writes the
-    same shared memory.
+    heap path — the only difference is what travels back: workers return
+    :data:`COLUMNAR_FIELDS` rows instead of pickling full result objects.
+    ``task(seed)`` returns one columnar result and must be picklable for
+    the pool to be used (the usual :func:`functools.partial` over a
+    module-level function, such as :func:`hap_approx_columnar_task`);
+    otherwise the campaign degrades to the identical in-process path.
     """
-    seeds = derive_seeds(num_replications, base_seed)
-    width = len(COLUMNAR_FIELDS)
-    shm = shared_memory.SharedMemory(
-        create=True, size=num_replications * width * 8
+    worker = partial(_columnar_worker, task)
+    jobs = [
+        _Job(index=k, seed=seed, task=worker)
+        for k, seed in enumerate(derive_seeds(num_replications, base_seed))
+    ]
+    outcomes, skipped, wall_clock, workers = run_jobs(
+        jobs,
+        max_workers=max_workers,
+        chunk_size=chunk_size,
+        wall_clock_budget=wall_clock_budget,
+        policy=policy,
+        journal=checkpoint,
+        resume=resume,
     )
-    try:
-        matrix = np.ndarray(
-            (num_replications, width), dtype=np.float64, buffer=shm.buf
-        )
-        matrix[:] = math.nan
-        worker = partial(_columnar_worker, task, shm.name, base_seed)
-        jobs = [
-            _Job(index=k, seed=seed, task=worker)
-            for k, seed in enumerate(seeds)
-        ]
-        outcomes, skipped, wall_clock, workers = run_jobs(
-            jobs,
-            max_workers=max_workers,
-            chunk_size=chunk_size,
-            wall_clock_budget=wall_clock_budget,
-            policy=policy,
-            journal=checkpoint,
-            resume=resume,
-        )
-        # Journaled rows come from the journal: a resumed run never wrote
-        # their shared-memory rows.
-        return _campaign_result(
-            outcomes,
-            skipped,
-            wall_clock,
-            workers,
-            result_of=lambda outcome: ColumnarReplication.from_row(
-                outcome.value
-                if outcome.from_checkpoint
-                else matrix[outcome.index]
-            ),
-        )
-    finally:
-        # Both halves must run even if one raises: a leaked segment
-        # outlives the process and eats /dev/shm until reboot.
-        try:
-            shm.close()
-        finally:
-            shm.unlink()
+    return _campaign_result(
+        outcomes,
+        skipped,
+        wall_clock,
+        workers,
+        result_of=lambda outcome: ColumnarReplication.from_row(outcome.value),
+    )

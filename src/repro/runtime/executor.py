@@ -760,8 +760,8 @@ class ParallelReplicator:
         :class:`~repro.sim.replication.SimulationResult` back through the
         pool.  ``"columnar"`` and ``"columnar-batched"`` are two names for
         one path: ``run_one(seed)`` returns a columnar result
-        (:mod:`repro.sim.columnar`), and results travel through one
-        shared-memory scalar matrix instead
+        (:mod:`repro.sim.columnar`), and each worker sends back only its
+        row of scalars
         (:func:`~repro.runtime.columnar.run_columnar_campaign`) — same
         seeds, per-seed failure, retry and checkpoint semantics, and
         ``CampaignResult`` contract, with compact per-replication records.

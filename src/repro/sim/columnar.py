@@ -16,11 +16,11 @@ No numba, no event heap: everything is numpy primitives.
 
 The replication-batched variant (:mod:`repro.sim.columnar_batch`,
 re-exported here as ``simulate_*_columnar_batch``) takes a list of seeds
-and runs each row in per-row passes that allocate once — a scalar chain
-walk, candidates drawn in place into one array, thinning one block-sized
-chunk at a time with ``np.compress`` — then shares :func:`lindley_waits`
-and the statistics pass with the functions below.  Its rows are
-bit-identical to theirs: one engine, two dispatch shapes.
+and runs the rows one at a time, in passes that allocate once — a scalar
+chain walk, candidates drawn in place into one array, thinning one
+block-sized chunk at a time with ``np.compress`` — then shares
+:func:`lindley_waits` and the statistics pass with the functions below.
+Its rows are bit-identical to theirs: one engine, two dispatch shapes.
 
 Semantics contract (mirrors the heap engine observable-for-observable)
 ----------------------------------------------------------------------
@@ -72,10 +72,8 @@ from repro.sim.random_streams import ExponentialBatcher, RandomStreams
 from repro.sim.replication import SimulationResult, _validate_window
 
 __all__ = [
-    "BatchWorkspace",
     "MMPPStreamArrays",
     "lindley_waits",
-    "lindley_waits_batch",
     "sample_mmpp_stream",
     "sample_mmpp_streams_batch",
     "sample_poisson_stream",
@@ -93,8 +91,6 @@ __all__ = [
 #: public API without this module importing the batch engine eagerly.
 _BATCH_EXPORTS = frozenset(
     {
-        "BatchWorkspace",
-        "lindley_waits_batch",
         "sample_mmpp_streams_batch",
         "simulate_hap_approx_columnar_batch",
         "simulate_mmpp_columnar_batch",
@@ -240,7 +236,8 @@ class _EmbeddedChain:
     matching destination states.  Pad columns carry ``+inf`` cumulative
     values, so a right-sided rank query (``count of entries <= u``) over a
     full padded row equals ``searchsorted`` on the unpadded one — that is
-    what lets the batched walk look all rows up with one 2-D gather.
+    what lets the batched walk ``bisect`` a padded Python row and land
+    where the sequential walk's ``searchsorted`` does.
     Memory is ``O(n_states * max_row_nnz)``: the truncated HAP lattices
     have a handful of neighbours per state, so the padding is tiny.
     """

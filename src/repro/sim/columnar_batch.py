@@ -1,22 +1,23 @@
-"""Replication-batched columnar engine: whole campaigns per call.
+"""Replication-batched columnar engine: a list of seeds per call.
 
 The columnar engine (:mod:`repro.sim.columnar`) already pays Python
 overhead per *block* instead of per event, but it still runs one
 replication per call.  This module takes a list of seeds (campaigns call
-it with one seed per job) and runs each row through per-row passes that
-allocate once:
+it with one seed per job) and runs the rows one after another, each in
+passes that allocate once:
 
-* each row's embedded jump chain is walked in one scalar pass over
-  Python floats, one ``bisect`` into the state's cumulative row per jump
-  (a vectorized step over all R rows costs a dozen numpy calls, far more
-  than R scalar steps at the replication counts campaigns use);
-* ``Poisson(r_max)`` candidates are drawn block by block straight into
-  one array per row and scaled, cumsum-ed and offset in place; thinning
-  then walks the candidates one block-sized chunk at a time, building
-  thresholds, uniforms and the accept mask in :class:`BatchWorkspace`
-  buffers and keeping arrivals with ``np.compress``;
-* the FCFS queue is :func:`repro.sim.columnar.lindley_waits` on each row,
-  and the statistics pass is the sequential engine's own.
+* the call first walks every row's embedded jump chain, each in one
+  scalar pass over Python floats, one ``bisect`` into the state's
+  cumulative row per jump, from per-state tables built once per call (a
+  vectorized step over all rows costs a dozen numpy calls, far more than
+  the scalar steps at the replication counts campaigns use);
+* then, one row at a time, ``Poisson(r_max)`` candidates are drawn block
+  by block straight into one array and scaled, cumsum-ed and offset in
+  place; thinning walks the candidates one block-sized chunk at a time,
+  building thresholds, uniforms and the accept mask in two chunk buffers
+  and keeping arrivals with ``np.compress``; the FCFS queue is
+  :func:`repro.sim.columnar.lindley_waits` on the row, and the statistics
+  pass is the sequential engine's own.
 
 Determinism contract (the same domain as the sequential columnar engine)
 ------------------------------------------------------------------------
@@ -24,8 +25,8 @@ Each row consumes its own :class:`~repro.sim.random_streams.RandomStreams`
 substreams (``"columnar-source"``, ``"columnar-server"``) in *exactly* the
 sequential draw order — block refills, splices, and all.  Rows are
 therefore **bit-identical** to sequential ``simulate_*_columnar`` runs
-with the same seeds and ``block_size``: interleaving draws *across* rows
-is free (independent generators), and within a row the walk, the
+with the same seeds and ``block_size``: walking every row before running
+any is free (independent generators), and within a row the walk, the
 candidate blocks and the thinning uniforms make the sequential engine's
 generator calls in its order, splicing the walk's partly used blocks
 first (numpy draws the same values in consecutive pieces as in one
@@ -36,15 +37,16 @@ contract.
 
 Memory model
 ------------
-The chain walk keeps, per row, its jumps (one float and one int per
+A call holds one row's arrays at a time, for any number of seeds.  The
+chain walk keeps, per row, its jumps (one float and one int per
 modulating jump) and the unused tails of its last sojourn and uniform
-blocks.  Per row, the candidate phase holds one float array of about
-``horizon * r_max`` plus two blocks, and thinning adds two ``block_size``
-workspace buffers and one chunk of thresholds; the kept arrivals, their
-services and waits, and the statistics temporaries scale with the
-accepted count.  A multi-seed call still runs its rows in groups whose
-estimated size (48 bytes per expected candidate) fits ``max_group_bytes``
-(default 256 MiB); campaigns pass one seed per call.
+blocks.  The row being run holds one candidate array of about
+``horizon * r_max`` floats plus two blocks, two ``block_size`` thinning
+buffers and one chunk of thresholds; its kept arrivals, their services
+and waits, and the statistics temporaries scale with the accepted count.
+A finished row leaves only its :class:`SimulationResult` behind
+(:func:`sample_mmpp_streams_batch` returns every row's stream, so its
+result grows with the rows).
 """
 from __future__ import annotations
 
@@ -70,89 +72,31 @@ from repro.sim.random_streams import ExponentialBatcher, RandomStreams
 from repro.sim.replication import SimulationResult, _validate_window
 
 __all__ = [
-    "BatchWorkspace",
-    "lindley_waits_batch",
     "sample_mmpp_streams_batch",
     "simulate_hap_approx_columnar_batch",
     "simulate_mmpp_columnar_batch",
     "simulate_poisson_columnar_batch",
 ]
 
-#: Default budget for one candidate/thinning/Lindley row group.
-DEFAULT_GROUP_BYTES = 256 * 2**20
-
 _EMPTY = np.empty(0)
 
 
-class BatchWorkspace:
-    """A keyed pool of reusable numpy buffers for the batched engine.
+@dataclass(frozen=True)
+class _RowWalk:
+    """One row's chain walk.
 
-    ``array(key, shape)`` returns a view of a backing buffer that is
-    allocated on first use and grown only when a larger request arrives.
-    Thinning takes its block-sized uniform and accept-mask chunks from
-    here, so across the chunks, rows and repeated batch calls that share
-    a workspace those buffers are allocated once.  Buffers are plain
-    ``np.empty`` storage: callers own initialization.  Pass one workspace
-    to repeated ``simulate_*_columnar_batch`` calls to share the pool;
-    call :meth:`release` to drop the memory when a campaign ends.
+    ``sojourn_leftover``/``uniform_leftover`` are the unused tails of the
+    row's last sojourn and uniform blocks: what the sequential engine's
+    batchers still hold when its walk stops.  The candidate and thinning
+    phases splice them first, which is what keeps the row's bit-stream
+    identical to the sequential engine's.
     """
 
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, key: str, shape, dtype=np.float64) -> np.ndarray:
-        """A ``shape``-shaped view of the (grown-once) buffer for ``key``."""
-        if isinstance(shape, int):
-            shape = (shape,)
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        dtype = np.dtype(dtype)
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.dtype != dtype or buffer.size < size:
-            buffer = np.empty(max(size, 1), dtype=dtype)
-            self._buffers[key] = buffer
-        return buffer[:size].reshape(shape)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently held across all pooled buffers."""
-        return sum(buffer.nbytes for buffer in self._buffers.values())
-
-    def release(self) -> None:
-        """Drop every pooled buffer (outstanding views keep their storage)."""
-        self._buffers.clear()
-
-
-def _rows_per_group(
-    bytes_per_row: float, max_group_bytes: int | None, total_rows: int
-) -> int:
-    """How many rows the candidate/Lindley phase processes at once."""
-    budget = DEFAULT_GROUP_BYTES if max_group_bytes is None else max(
-        int(max_group_bytes), 1
-    )
-    per_row = max(bytes_per_row, 1.0)
-    return max(1, min(total_rows, int(budget / per_row)))
-
-
-@dataclass
-class _BatchWalk:
-    """Everything the per-row chain walks produced, per row.
-
-    ``sojourn_leftovers``/``uniform_leftovers`` are the unused tails of
-    each row's last sojourn and uniform blocks: what the sequential
-    engine's batchers still hold when its walk stops.  The candidate and
-    thinning phases splice them first, which is what keeps per-row
-    bit-streams identical to the sequential engine's.
-    """
-
-    initial_states: np.ndarray
-    jump_times: list[np.ndarray]
-    states: list[np.ndarray]
-    sojourn_leftovers: list[np.ndarray]
-    uniform_leftovers: list[np.ndarray]
+    initial_state: int
+    jump_times: np.ndarray
+    states: np.ndarray
+    sojourn_leftover: np.ndarray
+    uniform_leftover: np.ndarray
 
 
 def _walk_row(rng, state, horizon, block_size, means, alive, targets, cumulative):
@@ -188,146 +132,110 @@ def _walk_row(rng, state, horizon, block_size, means, alive, targets, cumulative
     return times, visited, _EMPTY, _EMPTY
 
 
-def _blocked_cumulative_rows(
-    rngs: Sequence[np.random.Generator],
-    leftovers: Sequence[np.ndarray],
+def _blocked_cumulative_row(
+    rng: np.random.Generator,
+    head: np.ndarray,
     mean: float,
     horizon: float,
     block_size: int,
-) -> list[np.ndarray]:
-    """Rate-``1/mean`` Poisson event times on ``(0, horizon]``, per row.
+) -> np.ndarray:
+    """Rate-``1/mean`` Poisson event times on ``(0, horizon]`` for one row.
 
     The kernel's twin of :func:`repro.sim.columnar._cumulative_exponentials`.
-    Each row's blocks land in one array sized from the expected count and
-    doubled when a row runs long: a block is drawn straight into its slot,
-    splicing the row's leftover variates first (the batcher bit-stream
+    The blocks land in one array sized from the expected count and doubled
+    when the row runs long: a block is drawn straight into its slot,
+    splicing the leftover variates ``head`` first (the batcher bit-stream
     rule), then scaled, cumsum-ed and offset in place.  Times never
-    decrease, so the ``<= horizon`` cut is a prefix: each row is a view of
+    decrease, so the ``<= horizon`` cut is a prefix: the row is a view of
     its array up to a ``searchsorted`` position.  The mean is checked
     before any draw, with the sequential engine's message.
     """
     ExponentialBatcher._validate_mean(mean)
-    expected_blocks = math.ceil(horizon / mean / block_size) + 1
-    rows: list[np.ndarray] = []
-    for rng, head in zip(rngs, leftovers):
-        times = np.empty(expected_blocks * block_size)
-        filled = 0
-        offset = 0.0
-        while offset <= horizon:
-            if filled == times.size:
-                grown = np.empty(2 * times.size)
-                grown[:filled] = times
-                times = grown
-            block = times[filled : filled + block_size]
-            block[: head.size] = head
-            rng.standard_exponential(out=block[head.size :])
-            head = _EMPTY
-            np.multiply(block, mean, out=block)
-            np.cumsum(block, out=block)
-            np.add(block, offset, out=block)
-            offset = block[-1]
-            filled += block_size
-        rows.append(times[: np.searchsorted(times[:filled], horizon, "right")])
-    return rows
+    times = np.empty((math.ceil(horizon / mean / block_size) + 1) * block_size)
+    filled = 0
+    offset = 0.0
+    while offset <= horizon:
+        if filled == times.size:
+            grown = np.empty(2 * times.size)
+            grown[:filled] = times
+            times = grown
+        block = times[filled : filled + block_size]
+        block[: head.size] = head
+        rng.standard_exponential(out=block[head.size :])
+        head = _EMPTY
+        np.multiply(block, mean, out=block)
+        np.cumsum(block, out=block)
+        np.add(block, offset, out=block)
+        offset = block[-1]
+        filled += block_size
+    return times[: np.searchsorted(times[:filled], horizon, "right")]
 
 
 def _thin_group(
-    walk: _BatchWalk,
-    rows: Sequence[int],
+    walk: _RowWalk,
     rates: np.ndarray,
     r_max: float,
     horizon: float,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
     block_size: int,
-    workspace: BatchWorkspace,
-) -> list[tuple[np.ndarray, int]]:
-    """Candidates + thinning for one row group: ``(arrivals, candidates)``.
+) -> tuple[np.ndarray, int]:
+    """One row's candidates and thinning: ``(arrivals, candidates)``.
 
-    Thinning walks each row's candidates one ``block_size`` chunk at a
-    time through two workspace buffers, so no temporary spans the row.
+    Thinning walks the candidates one ``block_size`` chunk at a time
+    through two chunk buffers, so no temporary spans the row.  A chain
+    whose rates are all zero has no candidates and draws nothing.
     """
-    candidate_rows = _blocked_cumulative_rows(
-        [rngs[row] for row in rows],
-        [walk.sojourn_leftovers[row] for row in rows],
-        1.0 / r_max,
-        horizon,
-        block_size,
+    if r_max <= 0.0:
+        return np.empty(0), 0
+    candidates = _blocked_cumulative_row(
+        rng, walk.sojourn_leftover, 1.0 / r_max, horizon, block_size
     )
-    uniforms = workspace.array("thin-uniforms", (block_size,))
-    accept = workspace.array("thin-accept", (block_size,), dtype=bool)
-    output: list[tuple[np.ndarray, int]] = []
-    for candidates, row in zip(candidate_rows, rows):
-        # Rate at each candidate: the sequential engine gathers
-        # rates[states[searchsorted(jump_times, t, "right")]] per candidate;
-        # with sorted candidates the jump times instead cut the candidates
-        # into one run per visited state, and each chunk repeats the rates
-        # of the runs it overlaps, clipped to the chunk.  Pure integer
-        # bookkeeping, so the thresholds are bit-identical.
-        count = candidates.size
-        jump_times = walk.jump_times[row]
-        cuts = np.empty(jump_times.size + 2, dtype=np.int64)
-        cuts[0] = 0
-        cuts[-1] = count
-        cuts[1:-1] = np.searchsorted(candidates, jump_times, side="left")
-        run_rates = rates[walk.states[row]]
-        # The walk's unused uniforms serve the first candidates; numpy
-        # draws the same values in consecutive pieces as in one call.
-        leftover = walk.uniform_leftovers[row]
-        pieces: list[np.ndarray] = []
-        for start in range(0, count, block_size):
-            stop = min(start + block_size, count)
-            first = int(np.searchsorted(cuts, start, side="right")) - 1
-            last = int(np.searchsorted(cuts, stop, side="left"))
-            runs = np.diff(np.clip(cuts[first : last + 1], start, stop))
-            thresholds = np.repeat(run_rates[first:last], runs)
-            chunk = uniforms[: stop - start]
-            spliced = min(max(leftover.size - start, 0), chunk.size)
-            chunk[:spliced] = leftover[start : start + spliced]
-            if spliced < chunk.size:
-                rngs[row].random(out=chunk[spliced:])
-            np.multiply(chunk, r_max, out=chunk)
-            keep = np.less(chunk, thresholds, out=accept[: chunk.size])
-            pieces.append(np.compress(keep, candidates[start:stop]))
-        arrivals = np.concatenate(pieces) if pieces else np.empty(0)
-        output.append((arrivals, count))
-    return output
+    # Rate at each candidate: the sequential engine gathers
+    # rates[states[searchsorted(jump_times, t, "right")]] per candidate;
+    # with sorted candidates the jump times instead cut the candidates
+    # into one run per visited state, and each chunk repeats the rates
+    # of the runs it overlaps, clipped to the chunk.  Pure integer
+    # bookkeeping, so the thresholds are bit-identical.
+    count = candidates.size
+    cuts = np.empty(walk.jump_times.size + 2, dtype=np.int64)
+    cuts[0] = 0
+    cuts[-1] = count
+    cuts[1:-1] = np.searchsorted(candidates, walk.jump_times, side="left")
+    run_rates = rates[walk.states]
+    # The walk's unused uniforms serve the first candidates; numpy
+    # draws the same values in consecutive pieces as in one call.
+    leftover = walk.uniform_leftover
+    uniforms = np.empty(block_size)
+    accept = np.empty(block_size, dtype=bool)
+    pieces: list[np.ndarray] = []
+    for start in range(0, count, block_size):
+        stop = min(start + block_size, count)
+        first = int(np.searchsorted(cuts, start, side="right")) - 1
+        last = int(np.searchsorted(cuts, stop, side="left"))
+        runs = np.diff(np.clip(cuts[first : last + 1], start, stop))
+        thresholds = np.repeat(run_rates[first:last], runs)
+        chunk = uniforms[: stop - start]
+        spliced = min(max(leftover.size - start, 0), chunk.size)
+        chunk[:spliced] = leftover[start : start + spliced]
+        if spliced < chunk.size:
+            rng.random(out=chunk[spliced:])
+        np.multiply(chunk, r_max, out=chunk)
+        keep = np.less(chunk, thresholds, out=accept[: chunk.size])
+        pieces.append(np.compress(keep, candidates[start:stop]))
+    arrivals = np.concatenate(pieces) if pieces else np.empty(0)
+    return arrivals, count
 
 
 def _lindley_rows(
-    arrival_rows: Sequence[np.ndarray],
-    service_rows: Sequence[np.ndarray],
-    chunk_size: int,
-    initial_wait: float,
-) -> list[np.ndarray]:
-    """:func:`repro.sim.columnar.lindley_waits` over each row in turn.
+    arrivals: np.ndarray, services: np.ndarray, chunk_size: int
+) -> np.ndarray:
+    """One row's FCFS waits from an empty queue.
 
-    Each row is the sequential recursion itself, so rows are bit-identical
-    to it by construction.
+    :func:`repro.sim.columnar.lindley_waits` itself, so the row is
+    bit-identical to the sequential engine's by construction; its own name
+    is what perfbench traces as the ``lindley`` layer.
     """
-    if len(arrival_rows) != len(service_rows):
-        raise ValueError("need matching arrival and service row lists")
-    return [
-        lindley_waits(arrivals, services, chunk_size, initial_wait)
-        for arrivals, services in zip(arrival_rows, service_rows)
-    ]
-
-
-def lindley_waits_batch(
-    arrival_rows: Sequence[np.ndarray],
-    service_rows: Sequence[np.ndarray],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    initial_wait: float = 0.0,
-    workspace: BatchWorkspace | None = None,
-) -> list[np.ndarray]:
-    """FCFS waits for R replications, one :func:`lindley_waits` per row.
-
-    Every returned row is **bit-identical** to ``lindley_waits`` on that
-    row alone, and ``chunk_size`` stays outside the determinism contract
-    exactly as in the 1-D case.  ``workspace`` is accepted and unused.
-    """
-    return _lindley_rows(
-        list(arrival_rows), list(service_rows), chunk_size, initial_wait
-    )
+    return lindley_waits(arrivals, services, chunk_size)
 
 
 def _mmpp_walks(
@@ -336,14 +244,12 @@ def _mmpp_walks(
     rngs: Sequence[np.random.Generator],
     initial_state: int | None,
     block_size: int,
-    workspace: BatchWorkspace,
-) -> tuple[np.ndarray, _BatchWalk]:
+) -> tuple[np.ndarray, list[_RowWalk]]:
     """Validate, draw initial states, and walk each row's jump chain.
 
-    Rows walk one after another, each from its own generator
-    (``workspace`` is not used: a row's leftovers are views of its own
-    last blocks).  The per-state tables become Python lists once per call:
-    bisecting a ``+inf``-padded cumulative row gives the same position as
+    Rows walk one after another, each from its own generator.  The
+    per-state tables become Python lists once per call: bisecting a
+    ``+inf``-padded cumulative row gives the same position as
     ``searchsorted`` on the unpadded one, and each target row is padded
     with its last target, which is the sequential engine's clamp for a
     uniform at or above the row's rounded total.
@@ -373,17 +279,21 @@ def _mmpp_walks(
         np.take_along_axis(packed.targets, clamp, axis=1).tolist(),
         packed.cumulative.tolist(),
     )
-    rows = [
-        _walk_row(rng, state, horizon, block_size, *tables)
-        for rng, state in zip(rngs, initial_states)
-    ]
-    return rates, _BatchWalk(
-        initial_states=np.array(initial_states, dtype=np.int64),
-        jump_times=[np.array(row[0], dtype=float) for row in rows],
-        states=[np.array(row[1], dtype=np.int64) for row in rows],
-        sojourn_leftovers=[row[2] for row in rows],
-        uniform_leftovers=[row[3] for row in rows],
-    )
+    walks = []
+    for rng, state in zip(rngs, initial_states):
+        times, visited, sojourns, uniforms = _walk_row(
+            rng, state, horizon, block_size, *tables
+        )
+        walks.append(
+            _RowWalk(
+                initial_state=state,
+                jump_times=np.array(times, dtype=float),
+                states=np.array(visited, dtype=np.int64),
+                sojourn_leftover=sojourns,
+                uniform_leftover=uniforms,
+            )
+        )
+    return rates, walks
 
 
 def sample_mmpp_streams_batch(
@@ -392,58 +302,35 @@ def sample_mmpp_streams_batch(
     rngs: Sequence[np.random.Generator],
     initial_state: int | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    workspace: BatchWorkspace | None = None,
-    max_group_bytes: int | None = None,
 ) -> list[MMPPStreamArrays]:
-    """R MMPP arrival streams in one batch, one per generator.
+    """MMPP arrival streams, one per generator.
 
     Row ``k`` is bit-identical (arrivals, jump times, states, candidate
     count) to ``sample_mmpp_stream(mmpp, horizon, rngs[k], ...)`` with a
     fresh generator in the same state — the batched determinism contract.
-    Memory scales with ``R * horizon`` for the retained streams; while a
-    row is thinned it also holds its candidate array (about
-    ``horizon * r_max`` floats) and two block-sized workspace buffers.
+    The returned streams scale with the number of rows times ``horizon``;
+    while a row is thinned the call also holds its candidate array (about
+    ``horizon * r_max`` floats) and two block-sized buffers.
     """
     rngs = list(rngs)
     if not rngs:
         return []
-    workspace = BatchWorkspace() if workspace is None else workspace
-    rates, walk = _mmpp_walks(
-        mmpp, horizon, rngs, initial_state, block_size, workspace
-    )
+    rates, walks = _mmpp_walks(mmpp, horizon, rngs, initial_state, block_size)
     r_max = float(rates.max()) if rates.size else 0.0
     streams: list[MMPPStreamArrays] = []
-    if r_max <= 0.0:
-        for row in range(len(rngs)):
-            streams.append(
-                MMPPStreamArrays(
-                    arrivals=np.empty(0),
-                    jump_times=walk.jump_times[row],
-                    states=walk.states[row],
-                    initial_state=int(walk.initial_states[row]),
-                    candidates=0,
-                )
-            )
-        return streams
-    group_rows = _rows_per_group(
-        horizon * r_max * 8.0 * 6.0, max_group_bytes, len(rngs)
-    )
-    for start in range(0, len(rngs), group_rows):
-        rows = range(start, min(start + group_rows, len(rngs)))
-        thinned = _thin_group(
-            walk, rows, rates, r_max, horizon, rngs, block_size, workspace
+    for rng, walk in zip(rngs, walks):
+        arrivals, candidates = _thin_group(
+            walk, rates, r_max, horizon, rng, block_size
         )
-        for local, row in enumerate(rows):
-            arrivals, candidates = thinned[local]
-            streams.append(
-                MMPPStreamArrays(
-                    arrivals=arrivals,
-                    jump_times=walk.jump_times[row],
-                    states=walk.states[row],
-                    initial_state=int(walk.initial_states[row]),
-                    candidates=candidates,
-                )
+        streams.append(
+            MMPPStreamArrays(
+                arrivals=arrivals,
+                jump_times=walk.jump_times,
+                states=walk.states,
+                initial_state=walk.initial_state,
+                candidates=candidates,
             )
+        )
     return streams
 
 
@@ -455,8 +342,6 @@ def simulate_poisson_columnar_batch(
     warmup: float | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workspace: BatchWorkspace | None = None,
-    max_group_bytes: int | None = None,
 ) -> list[SimulationResult]:
     """Batched columnar M/M/1: one result per seed, rows bit-identical to
     :func:`repro.sim.columnar.simulate_poisson_columnar` per seed."""
@@ -468,40 +353,28 @@ def simulate_poisson_columnar_batch(
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite (got {horizon})")
     seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        return []
-    results: list[SimulationResult | None] = [None] * len(seeds)
-    group_rows = _rows_per_group(
-        horizon * rate * 8.0 * 5.0, max_group_bytes, len(seeds)
-    )
-    for start in range(0, len(seeds), group_rows):
-        group = seeds[start : start + group_rows]
-        streams = [RandomStreams(seed) for seed in group]
+    results: list[SimulationResult] = []
+    for seed in seeds:
+        streams = RandomStreams(seed)
         if rate == 0.0:
-            arrival_rows = [np.empty(0) for _ in group]
+            arrivals = np.empty(0)
         else:
-            arrival_rows = _blocked_cumulative_rows(
-                [stream.get("columnar-source") for stream in streams],
-                [_EMPTY] * len(group),
+            arrivals = _blocked_cumulative_row(
+                streams.get("columnar-source"),
+                _EMPTY,
                 1.0 / rate,
                 horizon,
                 block_size,
             )
-        service_rows = [
-            _service_block(
-                streams[local].get("columnar-server"),
-                arrival_rows[local].size,
-                service_rate,
-                block_size,
-            )
-            for local in range(len(group))
-        ]
-        wait_rows = _lindley_rows(arrival_rows, service_rows, chunk_size, 0.0)
-        for local in range(len(group)):
-            results[start + local] = _queue_result_from_waits(
-                arrival_rows[local],
-                service_rows[local],
-                wait_rows[local],
+        services = _service_block(
+            streams.get("columnar-server"), arrivals.size, service_rate, block_size
+        )
+        waits = _lindley_rows(arrivals, services, chunk_size)
+        results.append(
+            _queue_result_from_waits(
+                arrivals,
+                services,
+                waits,
                 horizon,
                 warmup,
                 source_events=0,
@@ -511,6 +384,8 @@ def simulate_poisson_columnar_batch(
                     "batch_rows": len(seeds),
                 },
             )
+        )
+        del arrivals, services, waits  # free this row before the next
     return results
 
 
@@ -523,15 +398,13 @@ def simulate_mmpp_columnar_batch(
     initial_state: int | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workspace: BatchWorkspace | None = None,
-    max_group_bytes: int | None = None,
 ) -> list[SimulationResult]:
     """Batched columnar MMPP/M/1 — R replications in one call.
 
-    Each row's chain is walked in turn; candidates, thinning, services,
-    and the Lindley queue then run group-by-group
-    within the ``max_group_bytes`` budget.  Result rows are bit-identical
-    to :func:`repro.sim.columnar.simulate_mmpp_columnar` per seed (extras
+    Every row's chain is walked first; candidates, thinning, services, the
+    Lindley queue and the statistics then run one row at a time.  Result
+    rows are bit-identical to
+    :func:`repro.sim.columnar.simulate_mmpp_columnar` per seed (extras
     carry ``engine="columnar-batched"`` instead).
     """
     if warmup is None:
@@ -540,43 +413,27 @@ def simulate_mmpp_columnar_batch(
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         return []
-    workspace = BatchWorkspace() if workspace is None else workspace
     streams = [RandomStreams(seed) for seed in seeds]
     source_rngs = [stream.get("columnar-source") for stream in streams]
-    rates, walk = _mmpp_walks(
-        mmpp, horizon, source_rngs, initial_state, block_size, workspace
+    rates, walks = _mmpp_walks(
+        mmpp, horizon, source_rngs, initial_state, block_size
     )
     r_max = float(rates.max()) if rates.size else 0.0
-    results: list[SimulationResult | None] = [None] * len(seeds)
-    group_rows = _rows_per_group(
-        horizon * max(r_max, 0.0) * 8.0 * 6.0, max_group_bytes, len(seeds)
-    )
-    for start in range(0, len(seeds), group_rows):
-        rows = range(start, min(start + group_rows, len(seeds)))
-        if r_max <= 0.0:
-            thinned = [(np.empty(0), 0) for _ in rows]
-        else:
-            thinned = _thin_group(
-                walk, rows, rates, r_max, horizon, source_rngs, block_size,
-                workspace,
-            )
-        arrival_rows = [arrivals for arrivals, _ in thinned]
-        service_rows = [
-            _service_block(
-                streams[row].get("columnar-server"),
-                arrival_rows[local].size,
-                service_rate,
-                block_size,
-            )
-            for local, row in enumerate(rows)
-        ]
-        wait_rows = _lindley_rows(arrival_rows, service_rows, chunk_size, 0.0)
-        for local, row in enumerate(rows):
-            jumps = int(walk.jump_times[row].size)
-            results[row] = _queue_result_from_waits(
-                arrival_rows[local],
-                service_rows[local],
-                wait_rows[local],
+    results: list[SimulationResult] = []
+    for stream, rng, walk in zip(streams, source_rngs, walks):
+        arrivals, candidates = _thin_group(
+            walk, rates, r_max, horizon, rng, block_size
+        )
+        services = _service_block(
+            stream.get("columnar-server"), arrivals.size, service_rate, block_size
+        )
+        waits = _lindley_rows(arrivals, services, chunk_size)
+        jumps = int(walk.jump_times.size)
+        results.append(
+            _queue_result_from_waits(
+                arrivals,
+                services,
+                waits,
                 horizon,
                 warmup,
                 source_events=jumps,
@@ -585,10 +442,12 @@ def simulate_mmpp_columnar_batch(
                     "source": "mmpp",
                     "modulating_states": int(rates.size),
                     "modulating_jumps": jumps,
-                    "thinning_candidates": thinned[local][1],
+                    "thinning_candidates": candidates,
                     "batch_rows": len(seeds),
                 },
             )
+        )
+        del arrivals, services, waits  # free this row before the next
     return results
 
 
@@ -600,8 +459,6 @@ def simulate_hap_approx_columnar_batch(
     warmup: float | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workspace: BatchWorkspace | None = None,
-    max_group_bytes: int | None = None,
 ) -> list[SimulationResult]:
     """Batched columnar M/HAP-approx/1 via the symmetric MMPP mapping.
 
@@ -624,8 +481,6 @@ def simulate_hap_approx_columnar_batch(
         warmup=warmup,
         block_size=block_size,
         chunk_size=chunk_size,
-        workspace=workspace,
-        max_group_bytes=max_group_bytes,
     )
     for result in results:
         result.extras["source"] = "hap-approx"

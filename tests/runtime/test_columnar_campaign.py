@@ -1,4 +1,9 @@
-"""Tests for the shared-memory columnar campaign (repro.runtime.columnar)."""
+"""Tests for the columnar campaign (repro.runtime.columnar).
+
+Each worker returns its replication's row of scalars; fresh rows, pooled
+rows and rows spliced back from a checkpoint journal must all carry the
+same numbers.
+"""
 
 from __future__ import annotations
 
@@ -122,7 +127,7 @@ class TestCheckpointResume:
         )
         assert resumed.resumed == 2
         assert resumed.completed == 4
-        # Journal rows and fresh shared-memory rows carry identical numbers.
+        # Journaled rows and freshly computed rows carry identical numbers.
         assert resumed.results[:2] == first.results
 
     def test_resumed_campaign_is_bit_identical_to_uninterrupted(self, tmp_path):
@@ -212,76 +217,3 @@ class TestBatchedCampaign:
         assert resumed.resumed == 4
         assert resumed.completed == 6
         assert resumed.results[:4] == first.results
-
-
-class TestSharedMemoryCleanup:
-    """The campaign must never leak its shared-memory segment.
-
-    A leaked segment outlives the process and eats /dev/shm until reboot,
-    so the teardown runs ``close()`` and ``unlink()`` in nested ``finally``
-    blocks — each must happen even when the other (or the dispatch) raises.
-    """
-
-    def test_segment_unlinked_when_dispatch_raises(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        from repro.runtime import columnar as columnar_runtime
-
-        real = shared_memory.SharedMemory
-        created = {}
-
-        def capture(*args, **kwargs):
-            segment = real(*args, **kwargs)
-            created["name"] = segment.name
-            return segment
-
-        monkeypatch.setattr(
-            columnar_runtime.shared_memory, "SharedMemory", capture
-        )
-
-        def explode(*args, **kwargs):
-            raise RuntimeError("dispatch exploded")
-
-        monkeypatch.setattr(columnar_runtime, "run_jobs", explode)
-        with pytest.raises(RuntimeError, match="dispatch exploded"):
-            run_columnar_campaign(_columnar_task, 2, max_workers=1)
-        with pytest.raises(FileNotFoundError):
-            real(name=created["name"])
-
-    def test_segment_unlinked_even_when_close_raises(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        from repro.runtime import columnar as columnar_runtime
-
-        real = shared_memory.SharedMemory
-        created = {}
-
-        class FlakyClose(real):
-            # Class-level default: __init__ can raise midway (the pre-3.13
-            # ``track=`` probe in ``_attach``), and ``__del__`` still calls
-            # ``close()`` on the partially built object.
-            _flaky = False
-
-            def __init__(self, *args, create=False, **kwargs):
-                super().__init__(*args, create=create, **kwargs)
-                # Only the parent's owning segment misbehaves; worker
-                # attachments (create=False) close normally.
-                self._flaky = create
-                if create:
-                    created["name"] = self.name
-
-            def close(self):
-                super().close()
-                if self._flaky:
-                    # Raise once: __del__ closes again during GC and must
-                    # not spray unraisable exceptions into the test run.
-                    self._flaky = False
-                    raise OSError("injected close failure")
-
-        monkeypatch.setattr(
-            columnar_runtime.shared_memory, "SharedMemory", FlakyClose
-        )
-        with pytest.raises(OSError, match="injected close failure"):
-            run_columnar_campaign(_columnar_task, 1, max_workers=1)
-        with pytest.raises(FileNotFoundError):
-            real(name=created["name"])

@@ -11,15 +11,17 @@ statistical cost.  These tests pin that contract three ways:
 * the BENCH_6 golden stream (seed 2024) must fall out of the batched
   sampler unchanged — same arrays the sequential sampler locks;
 * unit tests cover the sharp edges: absorbing modulating chains, zero
-  and subnormal rates, workspace reuse, group splitting, the walk's
-  block boundaries and rounding clamp, the candidate array's growth and
-  thinning's chunk edges (stream-level, against the sequential sampler),
-  and the batched Lindley recursion against its 1-D twin.
+  and subnormal rates, the walk's block boundaries and rounding clamp,
+  and the candidate array's growth and thinning's chunk edges
+  (stream-level, against the sequential sampler);
+* a ``tracemalloc`` test checks that a multi-seed call holds one row's
+  arrays at a time.
 """
 
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,15 +30,12 @@ from hypothesis import strategies as st
 
 from repro.markov.mmpp import MMPP
 from repro.sim.columnar import (
-    lindley_waits,
     sample_mmpp_stream,
     simulate_hap_approx_columnar,
     simulate_mmpp_columnar,
     simulate_poisson_columnar,
 )
 from repro.sim.columnar_batch import (
-    BatchWorkspace,
-    lindley_waits_batch,
     sample_mmpp_streams_batch,
     simulate_hap_approx_columnar_batch,
     simulate_mmpp_columnar_batch,
@@ -105,7 +104,6 @@ class TestGoldenBatchStream:
             200.0,
             [np.random.default_rng(2024)],
             initial_state=0,
-            workspace=BatchWorkspace(),
         )[0]
         sequential = sample_mmpp_stream(
             _two_state_mmpp(),
@@ -134,7 +132,6 @@ class TestGoldenBatchStream:
             200.0,
             rngs,
             initial_state=0,
-            workspace=BatchWorkspace(),
         )[1]
         assert batched.arrivals.size == 475
         assert batched.candidates == 2362
@@ -306,35 +303,6 @@ class TestSharpEdges:
             sequential = simulate_poisson_columnar(0.0, 300.0, 9.0, seed=seed)
             assert_rows_bit_identical(sequential, row, f"seed={seed} ")
             assert row.messages_served == 0
-
-    def test_group_splitting_is_invisible(self):
-        # max_group_bytes=1 forces one row per phase-B group; the output
-        # must match an unsplit batch exactly.
-        mmpp = _two_state_mmpp()
-        seeds = [5, 6, 7, 8]
-        split = simulate_mmpp_columnar_batch(
-            mmpp, 150.0, 14.0, seeds, max_group_bytes=1
-        )
-        whole = simulate_mmpp_columnar_batch(mmpp, 150.0, 14.0, seeds)
-        for left, right in zip(split, whole):
-            assert_rows_bit_identical(left, right, "group-split ")
-
-    def test_workspace_reuse_across_batches(self):
-        # A dirty workspace (buffers full of a previous batch's variates)
-        # must not leak into the next batch's results.
-        mmpp = _two_state_mmpp()
-        workspace = BatchWorkspace()
-        first = simulate_mmpp_columnar_batch(
-            mmpp, 150.0, 14.0, [1, 2], workspace=workspace
-        )
-        again = simulate_mmpp_columnar_batch(
-            mmpp, 150.0, 14.0, [1, 2], workspace=workspace
-        )
-        for left, right in zip(first, again):
-            assert_rows_bit_identical(left, right, "workspace-reuse ")
-        assert workspace.nbytes > 0
-        workspace.release()
-        assert workspace.nbytes == 0
 
     def test_overflowing_mmpp_candidate_mean_raises_like_sequential(self):
         # r_max = 5e-324, so 1/r_max is inf: no candidate can be drawn.
@@ -597,63 +565,33 @@ class TestRoundingClamp:
         assert sequential.candidates == batched.candidates
 
 
-class TestLindleyBatch:
-    @pytest.mark.parametrize("chunk_size", [1, 7, 100, 5000])
-    def test_rows_match_the_sequential_recursion(self, chunk_size):
-        rng = np.random.default_rng(3)
-        arrival_rows = []
-        service_rows = []
-        for count in (0, 1, 17, 400):
-            arrivals = np.sort(rng.random(count) * 100.0)
-            services = rng.exponential(0.1, size=count)
-            arrival_rows.append(arrivals)
-            service_rows.append(services)
-        batched = lindley_waits_batch(
-            arrival_rows, service_rows, chunk_size=chunk_size
-        )
-        for arrivals, services, waits in zip(
-            arrival_rows, service_rows, batched
-        ):
-            expected = lindley_waits(
-                arrivals, services, chunk_size=chunk_size
-            )
-            assert np.array_equal(waits, expected)
+def _peak_traced_bytes(run) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def test_rows_of_unequal_length_pad_invisibly(self):
-        # The 2-D kernel pads short rows to the longest; padding must not
-        # bleed into real waits.
-        rng = np.random.default_rng(11)
-        arrival_rows = [
-            np.sort(rng.random(3) * 10.0),
-            np.sort(rng.random(900) * 10.0),
-        ]
-        service_rows = [rng.exponential(1.0, 3), rng.exponential(1.0, 900)]
-        batched = lindley_waits_batch(arrival_rows, service_rows)
-        for arrivals, services, waits in zip(
-            arrival_rows, service_rows, batched
-        ):
-            assert waits.size == arrivals.size
-            assert np.array_equal(waits, lindley_waits(arrivals, services))
 
-    def test_initial_wait_carries_into_every_row(self):
-        arrivals = np.array([1.0, 2.0, 3.0])
-        services = np.array([0.5, 0.5, 0.5])
-        batched = lindley_waits_batch(
-            [arrivals, arrivals], [services, services], initial_wait=4.0
-        )
-        expected = lindley_waits(arrivals, services, initial_wait=4.0)
-        assert np.array_equal(batched[0], expected)
-        assert np.array_equal(batched[1], expected)
+class TestOneRowAtATime:
+    """A multi-seed call holds one row's arrays at a time, so its peak
+    memory does not grow with the number of seeds."""
 
-    def test_validation_mirrors_the_sequential_messages(self):
-        good = np.array([1.0, 2.0])
-        with pytest.raises(ValueError, match="matching arrival and service"):
-            lindley_waits_batch([good], [])
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            lindley_waits_batch([good], [good], chunk_size=0)
-        with pytest.raises(ValueError, match="initial_wait must be finite"):
-            lindley_waits_batch([good], [good], initial_wait=-1.0)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            lindley_waits_batch([good[::-1].copy()], [good])
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            lindley_waits_batch([good], [np.array([0.5, -0.5])])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda seeds: simulate_mmpp_columnar_batch(
+                _two_state_mmpp(), 20_000.0, 14.0, seeds, block_size=1_024
+            ),
+            lambda seeds: simulate_poisson_columnar_batch(
+                5.0, 20_000.0, 9.0, seeds, block_size=1_024
+            ),
+        ],
+        ids=["mmpp", "poisson"],
+    )
+    def test_eight_seeds_peak_below_twice_one_seed(self, run):
+        one = _peak_traced_bytes(lambda: run([1]))
+        eight = _peak_traced_bytes(lambda: run(list(range(1, 9))))
+        assert eight < 2 * one, f"1 seed: {one} B, 8 seeds: {eight} B"
