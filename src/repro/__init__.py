@@ -35,46 +35,75 @@ Package map
   experiment runners used by the benchmark suite.
 """
 
-from repro.core import (
-    HAP,
-    ApplicationType,
-    ClientServerApplicationType,
-    ClientServerHAPParameters,
-    ClientServerMessageType,
-    HAPParameters,
-    InterarrivalDistribution,
-    InterruptedPoisson,
-    MessageType,
-    TwoLevelHAP,
-    solve_bounded_solution2,
-    solve_solution0,
-    solve_solution1,
-    solve_solution2,
-)
-from repro.queueing import solve_gm1, solve_mg1, solve_mm1
-from repro.sim import simulate_hap_mm1, simulate_source_mm1
+import importlib.util
 
 __version__ = "1.0.0"
 
+
+def _lazy_exports(namespace: dict, table: dict[str, tuple[str, ...]]) -> list[str]:
+    """Serve a module's re-exports on first use (PEP 562); return its names.
+
+    ``namespace`` is the calling module's ``globals()``; ``table`` maps a
+    module, written relative to the caller's package (``".model"``), to the
+    public names it provides.  This installs ``__getattr__``, which imports
+    the module owning a name on first access and caches the name in
+    ``namespace``, and ``__dir__``, which lists the names.  In a package, any
+    other name is tried as a submodule (``repro.core.params``), so only an
+    unknown name raises :class:`AttributeError`; an import error inside an
+    existing module propagates unchanged.
+
+    A name that is also a submodule's name (``repro.runtime.sweep``) is bound
+    at once: importing that submodule later would rebind the package
+    attribute to the module.
+    """
+    module_name = namespace["__name__"]
+    owner = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        submodule = f"{module_name}.{name}"
+        if name in owner:
+            module = importlib.import_module(owner[name], namespace["__package__"])
+            value = getattr(module, name)
+        elif "__path__" in namespace and importlib.util.find_spec(submodule):
+            value = importlib.import_module(submodule)
+        else:
+            raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | owner.keys())
+
+    namespace["__getattr__"] = __getattr__
+    namespace["__dir__"] = __dir__
+    for name in owner.keys() & {module.lstrip(".") for module in table}:
+        __getattr__(name)
+    return list(owner)
+
+
 __all__ = [
-    "HAP",
-    "ApplicationType",
-    "ClientServerApplicationType",
-    "ClientServerHAPParameters",
-    "ClientServerMessageType",
-    "HAPParameters",
-    "InterarrivalDistribution",
-    "InterruptedPoisson",
-    "MessageType",
-    "TwoLevelHAP",
     "__version__",
-    "simulate_hap_mm1",
-    "simulate_source_mm1",
-    "solve_bounded_solution2",
-    "solve_gm1",
-    "solve_mg1",
-    "solve_mm1",
-    "solve_solution0",
-    "solve_solution1",
-    "solve_solution2",
+    *_lazy_exports(
+        globals(),
+        {
+            ".core": (
+                "HAP",
+                "ApplicationType",
+                "ClientServerApplicationType",
+                "ClientServerHAPParameters",
+                "ClientServerMessageType",
+                "HAPParameters",
+                "InterarrivalDistribution",
+                "InterruptedPoisson",
+                "MessageType",
+                "TwoLevelHAP",
+                "solve_bounded_solution2",
+                "solve_solution0",
+                "solve_solution1",
+                "solve_solution2",
+            ),
+            ".queueing": ("solve_gm1", "solve_mg1", "solve_mm1"),
+            ".sim": ("simulate_hap_mm1", "simulate_source_mm1"),
+        },
+    ),
 ]

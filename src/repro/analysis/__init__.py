@@ -1,37 +1,19 @@
 """Result analysis: statistics, convergence diagnostics, comparison tables."""
 
-from repro.analysis.comparison import ComparisonRow, comparison_table, format_table
-from repro.analysis.convergence import (
-    batch_means,
-    running_mean,
-    running_mean_fluctuation,
-)
-from repro.analysis.statistics import (
-    confidence_interval,
-    relative_error,
-    summarize,
-)
-from repro.analysis.traces import (
-    empirical_idc,
-    empirical_interarrival_ccdf,
-    interarrival_times,
-    peak_to_mean_ratio,
-    rate_in_windows,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ComparisonRow",
-    "batch_means",
-    "comparison_table",
-    "confidence_interval",
-    "empirical_idc",
-    "empirical_interarrival_ccdf",
-    "format_table",
-    "interarrival_times",
-    "peak_to_mean_ratio",
-    "rate_in_windows",
-    "relative_error",
-    "running_mean",
-    "running_mean_fluctuation",
-    "summarize",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".comparison": ("ComparisonRow", "comparison_table", "format_table"),
+        ".convergence": ("batch_means", "running_mean", "running_mean_fluctuation"),
+        ".statistics": ("confidence_interval", "relative_error", "summarize"),
+        ".traces": (
+            "empirical_idc",
+            "empirical_interarrival_ccdf",
+            "interarrival_times",
+            "peak_to_mean_ratio",
+            "rate_in_windows",
+        ),
+    },
+)

@@ -16,35 +16,23 @@ each ATM interface, and a connectionless (CL) overlay designed on top.
   the HAP bandwidth rule.
 """
 
-from repro.control.admission_table import (
-    AdmissionTable,
-    ProbeStats,
-    admissible_region,
-    build_admission_table,
-    clear_probe_cache,
-    linear_region_approximation,
-    max_admissible_user_rate,
-    pinned_population_params,
-    probe_stats,
-)
-from repro.control.bandwidth import (
-    bandwidth_for_delay_target,
-    bandwidth_for_wait_percentile,
-)
-from repro.control.overlay import OverlayDesign, design_cl_overlay
+from repro import _lazy_exports
 
-__all__ = [
-    "AdmissionTable",
-    "OverlayDesign",
-    "ProbeStats",
-    "admissible_region",
-    "bandwidth_for_delay_target",
-    "bandwidth_for_wait_percentile",
-    "build_admission_table",
-    "clear_probe_cache",
-    "design_cl_overlay",
-    "linear_region_approximation",
-    "max_admissible_user_rate",
-    "pinned_population_params",
-    "probe_stats",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".admission_table": (
+            "AdmissionTable",
+            "ProbeStats",
+            "admissible_region",
+            "build_admission_table",
+            "clear_probe_cache",
+            "linear_region_approximation",
+            "max_admissible_user_rate",
+            "pinned_population_params",
+            "probe_stats",
+        ),
+        ".bandwidth": ("bandwidth_for_delay_target", "bandwidth_for_wait_percentile"),
+        ".overlay": ("OverlayDesign", "design_cl_overlay"),
+    },
+)

@@ -22,11 +22,13 @@ This module is a working small-scale version of that study:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.control.bandwidth import bandwidth_for_delay_target
 from repro.core.params import HAPParameters
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["OverlayDesign", "design_cl_overlay", "merge_haps"]
 
@@ -110,6 +112,8 @@ def design_cl_overlay(
     networkx.NetworkXNoPath
         When a demand cannot be routed.
     """
+    import networkx as nx
+
     routes: dict[str, list] = {}
     per_link: dict[tuple, list[HAPParameters]] = {}
     for demand_id, (source, destination, hap) in demands.items():

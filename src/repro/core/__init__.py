@@ -10,79 +10,45 @@ The model (:mod:`repro.core.params`, :mod:`repro.core.model`,
 (:mod:`repro.core.admission`).
 """
 
-from repro.core.admission import (
-    BoundedSolution2Result,
-    bounded_mean_message_rate,
-    bounded_modulating_mmpp,
-    solve_bounded_solution2,
-)
-from repro.core.arrival_rate import (
-    equivalent_rate_family,
-    mean_message_rate,
-    symmetric_mean_message_rate,
-)
-from repro.core.burstiness import BurstinessReport, burstiness_report, rate_moments
-from repro.core.client_server import (
-    ClientServerApplicationType,
-    ClientServerHAPParameters,
-    ClientServerMessageType,
-    chain_amplification,
-)
-from repro.core.interarrival import (
-    InterarrivalDistribution,
-    density_intersections,
-    poisson_interarrival_density,
-)
-from repro.core.mmpp_mapping import (
-    MappedMMPP,
-    default_bounds,
-    hap_to_mmpp,
-    symmetric_hap_to_mmpp,
-)
-from repro.core.model import HAP
-from repro.core.onoff import InterruptedPoisson, TwoLevelHAP
-from repro.core.params import ApplicationType, HAPParameters, MessageType
-from repro.core.solution0 import Solution0Result, solve_solution0
-from repro.core.solution1 import Solution1Result, solve_solution1
-from repro.core.solution2 import (
-    Solution2Result,
-    condition_report,
-    solve_solution2,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "HAP",
-    "ApplicationType",
-    "BoundedSolution2Result",
-    "BurstinessReport",
-    "ClientServerApplicationType",
-    "ClientServerHAPParameters",
-    "ClientServerMessageType",
-    "HAPParameters",
-    "InterarrivalDistribution",
-    "InterruptedPoisson",
-    "MappedMMPP",
-    "MessageType",
-    "Solution0Result",
-    "Solution1Result",
-    "Solution2Result",
-    "TwoLevelHAP",
-    "bounded_mean_message_rate",
-    "bounded_modulating_mmpp",
-    "burstiness_report",
-    "chain_amplification",
-    "condition_report",
-    "default_bounds",
-    "density_intersections",
-    "equivalent_rate_family",
-    "hap_to_mmpp",
-    "mean_message_rate",
-    "poisson_interarrival_density",
-    "rate_moments",
-    "solve_bounded_solution2",
-    "solve_solution0",
-    "solve_solution1",
-    "solve_solution2",
-    "symmetric_hap_to_mmpp",
-    "symmetric_mean_message_rate",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".admission": (
+            "BoundedSolution2Result",
+            "bounded_mean_message_rate",
+            "bounded_modulating_mmpp",
+            "solve_bounded_solution2",
+        ),
+        ".arrival_rate": (
+            "equivalent_rate_family",
+            "mean_message_rate",
+            "symmetric_mean_message_rate",
+        ),
+        ".burstiness": ("BurstinessReport", "burstiness_report", "rate_moments"),
+        ".client_server": (
+            "ClientServerApplicationType",
+            "ClientServerHAPParameters",
+            "ClientServerMessageType",
+            "chain_amplification",
+        ),
+        ".interarrival": (
+            "InterarrivalDistribution",
+            "density_intersections",
+            "poisson_interarrival_density",
+        ),
+        ".mmpp_mapping": (
+            "MappedMMPP",
+            "default_bounds",
+            "hap_to_mmpp",
+            "symmetric_hap_to_mmpp",
+        ),
+        ".model": ("HAP",),
+        ".onoff": ("InterruptedPoisson", "TwoLevelHAP"),
+        ".params": ("ApplicationType", "HAPParameters", "MessageType"),
+        ".solution0": ("Solution0Result", "solve_solution0"),
+        ".solution1": ("Solution1Result", "solve_solution1"),
+        ".solution2": ("Solution2Result", "condition_report", "solve_solution2"),
+    },
+)

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.core.params import HAPParameters
 
@@ -268,6 +267,8 @@ def density_intersections(
     parameters): HAP has more very short gaps (intra-burst) and more very
     long gaps (between bursts), the exponential wins in the middle.
     """
+    from scipy.optimize import brentq
+
     rate = dist.params.mean_message_rate
 
     def difference(t: float) -> float:

@@ -7,61 +7,29 @@ the paper reports.  Examples reuse them too, so paper numbers live in
 exactly one place.
 """
 
-from repro.experiments.accuracy import run_accuracy_sweep, run_runtime_comparison
-from repro.experiments.configs import (
-    base_parameters,
-    bench_scale,
-    fig9_parameters,
-    paper_reference,
-)
-from repro.experiments.control_study import (
-    run_admission_study,
-    run_bandwidth_gap,
-    run_overlay_design,
-)
-from repro.experiments.extensions import (
-    run_heavy_tail_ablation,
-    run_multiplexing_study,
-)
-from repro.experiments.fig08 import run_fig8
-from repro.experiments.fig09_10 import (
-    run_fig9,
-    run_fig9_empirical,
-    run_fig10_tail,
-)
-from repro.experiments.fig11_12 import run_fig11, run_fig12
-from repro.experiments.fig13_18 import run_fig13, run_fig14_to_17, run_fig18
-from repro.experiments.fig19_20 import (
-    run_fig19,
-    run_fig20,
-    run_sec5_joint_scaling,
-)
-from repro.experiments.headline import run_headline, run_headline_campaign
+from repro import _lazy_exports
 
-__all__ = [
-    "base_parameters",
-    "bench_scale",
-    "fig9_parameters",
-    "paper_reference",
-    "run_accuracy_sweep",
-    "run_admission_study",
-    "run_bandwidth_gap",
-    "run_fig8",
-    "run_fig9",
-    "run_fig9_empirical",
-    "run_fig10_tail",
-    "run_fig11",
-    "run_fig12",
-    "run_fig13",
-    "run_fig14_to_17",
-    "run_fig18",
-    "run_fig19",
-    "run_fig20",
-    "run_headline",
-    "run_headline_campaign",
-    "run_heavy_tail_ablation",
-    "run_multiplexing_study",
-    "run_overlay_design",
-    "run_runtime_comparison",
-    "run_sec5_joint_scaling",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".accuracy": ("run_accuracy_sweep", "run_runtime_comparison"),
+        ".configs": (
+            "base_parameters",
+            "bench_scale",
+            "fig9_parameters",
+            "paper_reference",
+        ),
+        ".control_study": (
+            "run_admission_study",
+            "run_bandwidth_gap",
+            "run_overlay_design",
+        ),
+        ".extensions": ("run_heavy_tail_ablation", "run_multiplexing_study"),
+        ".fig08": ("run_fig8",),
+        ".fig09_10": ("run_fig9", "run_fig9_empirical", "run_fig10_tail"),
+        ".fig11_12": ("run_fig11", "run_fig12"),
+        ".fig13_18": ("run_fig13", "run_fig14_to_17", "run_fig18"),
+        ".fig19_20": ("run_fig19", "run_fig20", "run_sec5_joint_scaling"),
+        ".headline": ("run_headline", "run_headline_campaign"),
+    },
+)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.control.admission_table import (
     build_admission_table,
     linear_region_approximation,
@@ -122,6 +120,8 @@ def run_admission_study(
 
 def run_overlay_design(delay_target: float = 0.2) -> OverlayDesign:
     """Size a CL overlay on a 5-node ATM mesh carrying three HAP demands."""
+    import networkx as nx
+
     topology = nx.Graph()
     topology.add_edges_from(
         [

@@ -16,31 +16,22 @@ model is built on:
   for truncated multi-dimensional state spaces.
 """
 
-from repro.markov.birth_death import (
-    BirthDeathChain,
-    erlang_blocking_probability,
-    mm1_queue_length_distribution,
-    mminf_stationary,
-    truncated_poisson_pmf,
-)
-from repro.markov.ctmc import CTMC
-from repro.markov.matrix_geometric import QBDSolution, solve_mmpp_m1
-from repro.markov.mmpp import MMPP, fit_mmpp2_to_moments
-from repro.markov.truncation import StateSpace, build_generator
-from repro.markov.uniformization import UNIFORMIZATION_MARGIN
+from repro import _lazy_exports
 
-__all__ = [
-    "CTMC",
-    "UNIFORMIZATION_MARGIN",
-    "BirthDeathChain",
-    "MMPP",
-    "QBDSolution",
-    "StateSpace",
-    "build_generator",
-    "erlang_blocking_probability",
-    "fit_mmpp2_to_moments",
-    "mm1_queue_length_distribution",
-    "mminf_stationary",
-    "solve_mmpp_m1",
-    "truncated_poisson_pmf",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".birth_death": (
+            "BirthDeathChain",
+            "erlang_blocking_probability",
+            "mm1_queue_length_distribution",
+            "mminf_stationary",
+            "truncated_poisson_pmf",
+        ),
+        ".ctmc": ("CTMC",),
+        ".matrix_geometric": ("QBDSolution", "solve_mmpp_m1"),
+        ".mmpp": ("MMPP", "fit_mmpp2_to_moments"),
+        ".truncation": ("StateSpace", "build_generator"),
+        ".uniformization": ("UNIFORMIZATION_MARGIN",),
+    },
+)

@@ -69,7 +69,6 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import gammaln
 
 __all__ = [
     "AUTO_DENSE_LIMIT",
@@ -468,6 +467,8 @@ class UniformizedKernel:
         for k in range(1, max_terms + 1):
             term = term @ self.transition
             coefficients[k] = float(term @ right)
+        from scipy.special import gammaln
+
         values = np.empty(times.shape)
         for i, time in enumerate(times):
             mean = self.rate * time

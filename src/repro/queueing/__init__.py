@@ -12,29 +12,15 @@ Classical single-server results used throughout the reproduction:
   and complementary CDFs.
 """
 
-from repro.queueing.gm1 import (
-    GM1Solution,
-    sigma_fixed_point_paper,
-    solve_gm1,
-)
-from repro.queueing.laplace import (
-    laplace_of_density,
-    laplace_of_interarrival_from_ccdf,
-)
-from repro.queueing.littles_law import mean_delay_from_queue, mean_queue_from_delay
-from repro.queueing.mg1 import MG1Solution, solve_mg1
-from repro.queueing.mm1 import MM1Solution, solve_mm1
+from repro import _lazy_exports
 
-__all__ = [
-    "GM1Solution",
-    "MG1Solution",
-    "MM1Solution",
-    "laplace_of_density",
-    "laplace_of_interarrival_from_ccdf",
-    "mean_delay_from_queue",
-    "mean_queue_from_delay",
-    "sigma_fixed_point_paper",
-    "solve_gm1",
-    "solve_mg1",
-    "solve_mm1",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".gm1": ("GM1Solution", "sigma_fixed_point_paper", "solve_gm1"),
+        ".laplace": ("laplace_of_density", "laplace_of_interarrival_from_ccdf"),
+        ".littles_law": ("mean_delay_from_queue", "mean_queue_from_delay"),
+        ".mg1": ("MG1Solution", "solve_mg1"),
+        ".mm1": ("MM1Solution", "solve_mm1"),
+    },
+)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = ["GM1Solution", "sigma_fixed_point_paper", "solve_gm1"]
 
@@ -147,6 +146,8 @@ def _sigma_brent(laplace: LaplaceFn, service_rate: float, tol: float) -> float:
                 "no interior sigma root: the queue appears unstable "
                 "(mean arrival rate >= service rate)"
             )
+    from scipy.optimize import brentq
+
     return float(brentq(residual, left, probe, xtol=tol))
 
 

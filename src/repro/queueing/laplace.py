@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = ["laplace_of_density", "laplace_of_interarrival_from_ccdf"]
 
@@ -37,6 +36,8 @@ def laplace_of_density(
     upper:
         Upper integration limit; infinite by default.
     """
+    from scipy.integrate import quad
+
     if s < 0:
         raise ValueError("transform variable must be non-negative")
 
@@ -58,6 +59,8 @@ def laplace_of_interarrival_from_ccdf(
     Uses ``E[e^{-sT}] = 1 - s ∫ P(T > t) e^{-st} dt``, which avoids
     integrating the spiked density.  For ``s = 0`` the transform is exactly 1.
     """
+    from scipy.integrate import quad
+
     if s < 0:
         raise ValueError("transform variable must be non-negative")
     if s == 0:

@@ -25,52 +25,35 @@ crash-safe checkpoint journals) and is proven by the deterministic
 fault-injection harness in :mod:`repro.runtime.chaos`.
 """
 
-from repro.runtime.analytic import grid_map, run_analytic_sweep
-from repro.runtime.chaos import ChaosPlan
-from repro.runtime.columnar import ColumnarReplication, run_columnar_campaign
-from repro.runtime.executor import (
-    CampaignResult,
-    ParallelReplicator,
-    ReplicationError,
-    ReplicationFailure,
-    default_worker_count,
-    derive_seeds,
-)
-from repro.runtime.resilience import (
-    CheckpointJournal,
-    DegradationChain,
-    DegradationError,
-    RetryPolicy,
-    SolveDiagnostics,
-)
-from repro.runtime.sweep import (
-    SweepCampaignResult,
-    SweepPoint,
-    SweepPointResult,
-    SweepResult,
-    sweep,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CampaignResult",
-    "ChaosPlan",
-    "CheckpointJournal",
-    "ColumnarReplication",
-    "DegradationChain",
-    "DegradationError",
-    "ParallelReplicator",
-    "ReplicationError",
-    "ReplicationFailure",
-    "RetryPolicy",
-    "SolveDiagnostics",
-    "SweepCampaignResult",
-    "SweepPoint",
-    "SweepPointResult",
-    "SweepResult",
-    "default_worker_count",
-    "derive_seeds",
-    "grid_map",
-    "run_analytic_sweep",
-    "run_columnar_campaign",
-    "sweep",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".analytic": ("grid_map", "run_analytic_sweep"),
+        ".chaos": ("ChaosPlan",),
+        ".columnar": ("ColumnarReplication", "run_columnar_campaign"),
+        ".executor": (
+            "CampaignResult",
+            "ParallelReplicator",
+            "ReplicationError",
+            "ReplicationFailure",
+            "default_worker_count",
+            "derive_seeds",
+        ),
+        ".resilience": (
+            "CheckpointJournal",
+            "DegradationChain",
+            "DegradationError",
+            "RetryPolicy",
+            "SolveDiagnostics",
+        ),
+        ".sweep": (
+            "SweepCampaignResult",
+            "SweepPoint",
+            "SweepPointResult",
+            "SweepResult",
+            "sweep",
+        ),
+    },
+)

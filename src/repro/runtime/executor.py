@@ -62,10 +62,13 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.runtime import chaos
 from repro.runtime.resilience import CheckpointJournal, RetryPolicy, as_journal
-from repro.sim.replication import ReplicationSummary
+
+if TYPE_CHECKING:
+    from repro.sim.replication import ReplicationSummary
 
 __all__ = [
     "CampaignResult",
@@ -227,6 +230,10 @@ class CampaignResult:
         self, fields: Sequence[str] = SUMMARY_FIELDS
     ) -> dict[str, ReplicationSummary]:
         """Across-replication summaries of the named scalar attributes."""
+        # Imported here: every ``repro.runtime`` import loads this module
+        # (an admission shard's too), and the simulator loads scipy.
+        from repro.sim.replication import ReplicationSummary
+
         return {
             name: ReplicationSummary(
                 tuple(float(getattr(result, name)) for result in self.results)

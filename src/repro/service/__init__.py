@@ -25,40 +25,27 @@ answers each connection request with a table lookup at the interface.
   crashed shards on the :mod:`repro.runtime.resilience` backoff schedule.
 """
 
-from repro.service.client import AdmissionClient, LoadReport, run_load
-from repro.service.server import (
-    AdmissionService,
-    BandwidthAnswer,
-    BatchDecision,
-    Decision,
-    start_server,
-)
-from repro.service.sharded import FleetCounters, ShardFleet, SharedSurfaces
-from repro.service.surfaces import (
-    SURFACE_SCHEMA,
-    DecisionSurfaces,
-    build_decision_surfaces,
-    load_surfaces,
-    save_surfaces,
-    save_surfaces_binary,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AdmissionClient",
-    "AdmissionService",
-    "BandwidthAnswer",
-    "BatchDecision",
-    "Decision",
-    "DecisionSurfaces",
-    "FleetCounters",
-    "LoadReport",
-    "SURFACE_SCHEMA",
-    "ShardFleet",
-    "SharedSurfaces",
-    "build_decision_surfaces",
-    "load_surfaces",
-    "run_load",
-    "save_surfaces",
-    "save_surfaces_binary",
-    "start_server",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".client": ("AdmissionClient", "LoadReport", "run_load"),
+        ".server": (
+            "AdmissionService",
+            "BandwidthAnswer",
+            "BatchDecision",
+            "Decision",
+            "start_server",
+        ),
+        ".sharded": ("FleetCounters", "ShardFleet", "SharedSurfaces"),
+        ".surfaces": (
+            "SURFACE_SCHEMA",
+            "DecisionSurfaces",
+            "build_decision_surfaces",
+            "load_surfaces",
+            "save_surfaces",
+            "save_surfaces_binary",
+        ),
+    },
+)

@@ -22,77 +22,42 @@ this package is that simulator:
   sources.
 """
 
-from repro.sim.busy_periods import BusyPeriod, BusyPeriodStats, analyze_busy_periods
-from repro.sim.columnar import (
-    lindley_waits,
-    sample_mmpp_stream,
-    sample_poisson_stream,
-    simulate_hap_approx_columnar,
-    simulate_hap_columnar,
-    simulate_mmpp_columnar,
-    simulate_poisson_columnar,
-)
-from repro.sim.engine import Event, Simulator
-from repro.sim.monitors import Tally, TimeWeightedValue, TraceRecorder
-from repro.sim.network import TandemNetwork
-from repro.sim.protocol import Fragmenter, WindowRegulator
-from repro.sim.random_streams import (
-    Deterministic,
-    Erlang,
-    Exponential,
-    Hyperexponential,
-    Pareto,
-    RandomStreams,
-)
-from repro.sim.replication import (
-    SimulationResult,
-    simulate_hap_mm1,
-    simulate_source_mm1,
-)
-from repro.sim.server import FCFSQueue, Message
-from repro.sim.sources import (
-    ClientServerHAPSource,
-    HAPSource,
-    MMPPSource,
-    OnOffSource,
-    PacketTrainSource,
-    PoissonSource,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "BusyPeriod",
-    "BusyPeriodStats",
-    "ClientServerHAPSource",
-    "Deterministic",
-    "Erlang",
-    "Event",
-    "Exponential",
-    "FCFSQueue",
-    "Fragmenter",
-    "HAPSource",
-    "Hyperexponential",
-    "MMPPSource",
-    "Message",
-    "OnOffSource",
-    "PacketTrainSource",
-    "Pareto",
-    "PoissonSource",
-    "RandomStreams",
-    "SimulationResult",
-    "Simulator",
-    "TandemNetwork",
-    "Tally",
-    "TimeWeightedValue",
-    "TraceRecorder",
-    "WindowRegulator",
-    "analyze_busy_periods",
-    "lindley_waits",
-    "sample_mmpp_stream",
-    "sample_poisson_stream",
-    "simulate_hap_approx_columnar",
-    "simulate_hap_columnar",
-    "simulate_hap_mm1",
-    "simulate_mmpp_columnar",
-    "simulate_poisson_columnar",
-    "simulate_source_mm1",
-]
+__all__ = _lazy_exports(
+    globals(),
+    {
+        ".busy_periods": ("BusyPeriod", "BusyPeriodStats", "analyze_busy_periods"),
+        ".columnar": (
+            "lindley_waits",
+            "sample_mmpp_stream",
+            "sample_poisson_stream",
+            "simulate_hap_approx_columnar",
+            "simulate_hap_columnar",
+            "simulate_mmpp_columnar",
+            "simulate_poisson_columnar",
+        ),
+        ".engine": ("Event", "Simulator"),
+        ".monitors": ("Tally", "TimeWeightedValue", "TraceRecorder"),
+        ".network": ("TandemNetwork",),
+        ".protocol": ("Fragmenter", "WindowRegulator"),
+        ".random_streams": (
+            "Deterministic",
+            "Erlang",
+            "Exponential",
+            "Hyperexponential",
+            "Pareto",
+            "RandomStreams",
+        ),
+        ".replication": ("SimulationResult", "simulate_hap_mm1", "simulate_source_mm1"),
+        ".server": ("FCFSQueue", "Message"),
+        ".sources": (
+            "ClientServerHAPSource",
+            "HAPSource",
+            "MMPPSource",
+            "OnOffSource",
+            "PacketTrainSource",
+            "PoissonSource",
+        ),
+    },
+)

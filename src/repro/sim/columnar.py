@@ -66,6 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro import _lazy_exports
 from repro.core.params import HAPParameters
 from repro.markov.mmpp import MMPP
 from repro.sim.random_streams import ExponentialBatcher, RandomStreams
@@ -75,36 +76,24 @@ __all__ = [
     "MMPPStreamArrays",
     "lindley_waits",
     "sample_mmpp_stream",
-    "sample_mmpp_streams_batch",
     "sample_poisson_stream",
     "simulate_hap_approx_columnar",
-    "simulate_hap_approx_columnar_batch",
     "simulate_hap_columnar",
     "simulate_mmpp_columnar",
-    "simulate_mmpp_columnar_batch",
     "simulate_poisson_columnar",
-    "simulate_poisson_columnar_batch",
+    # Served on first use: the batch engine imports this module.
+    *_lazy_exports(
+        globals(),
+        {
+            ".columnar_batch": (
+                "sample_mmpp_streams_batch",
+                "simulate_hap_approx_columnar_batch",
+                "simulate_mmpp_columnar_batch",
+                "simulate_poisson_columnar_batch",
+            )
+        },
+    ),
 ]
-
-#: Names served from :mod:`repro.sim.columnar_batch` via module
-#: ``__getattr__`` (PEP 562) — the batch family is part of this module's
-#: public API without this module importing the batch engine eagerly.
-_BATCH_EXPORTS = frozenset(
-    {
-        "sample_mmpp_streams_batch",
-        "simulate_hap_approx_columnar_batch",
-        "simulate_mmpp_columnar_batch",
-        "simulate_poisson_columnar_batch",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _BATCH_EXPORTS:
-        from repro.sim import columnar_batch
-
-        return getattr(columnar_batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Variates drawn per numpy block — part of the determinism contract.
 DEFAULT_BLOCK_SIZE = 65_536
