@@ -10,7 +10,7 @@ answers each connection request with a table lookup at the interface.
   :func:`repro.runtime.analytic.run_analytic_sweep` over the grid and
   persisted as a versioned JSON artifact loaded at service boot.
 * :mod:`repro.service.server` — an asyncio (stdlib-only) admission-control
-  service with a three-tier answer path: vectorizable surface lookup,
+  service with a three-tier answer path: exact-grid surface lookup,
   conservative interpolation between grid points, and a true solver miss
   executed off the event loop in a reusable worker pool.  Timed-out,
   poisoned, or failed solves degrade to a conservative *deny* — the service

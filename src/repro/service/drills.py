@@ -143,17 +143,19 @@ async def smoke(host: str, port: int, fleet, surfaces, out) -> list[Invariant]:
         ("interpolated", (0.5, 1.0, grid_target)),
         ("solve", (1.0, 1.0, float(surfaces.delay_targets[-1]) * 2.0)),
     )
-    tiers = []
+    tiers, admits = [], []
     client = await AdmissionClient.open(host, port)
     try:
         for label, query in probes:
             answer = await client.admit(*query)
             tiers.append(answer["tier"])
+            admits.append(answer["admit"])
             print(
                 f"{label:<21}: admit={answer['admit']} tier={answer['tier']} "
                 f"latency={answer['latency_us']:.0f}us",
                 file=out,
             )
+        # The surface and interpolated probes again, as one batch.
         batch = await client.admit_batch(
             [1.0, 0.5], [1.0, 1.0], [grid_target, grid_target]
         )
@@ -175,6 +177,13 @@ async def smoke(host: str, port: int, fleet, surfaces, out) -> list[Invariant]:
             "each probe answered from its tier",
             tiers == [label for label, _ in probes],
             f"tiers {tiers}",
+        ),
+        Invariant(
+            "batch rows match their probes",
+            batch["tier"] == ["surface", "interpolated"]
+            and batch["admit"] == admits[:2],
+            f"tiers {batch['tier']} admit {batch['admit']}, "
+            f"probes admit {admits[:2]}",
         ),
         Invariant(
             "stats cover every shard",

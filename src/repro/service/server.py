@@ -2,12 +2,12 @@
 
 Answer path for an ``admit(n1, n2, delay_target)`` query:
 
-1. **surface** — the query sits exactly on the precomputed grid: one array
-   lookup, synchronous on the event loop (microseconds, vectorizable via
-   :meth:`~repro.service.surfaces.DecisionSurfaces.admit_batch`).
+1. **surface** — the query sits exactly on the precomputed grid: one list
+   lookup, synchronous on the event loop (microseconds).
 2. **interpolated** — the query lies inside the grid hull but off-grid: the
    conservative-corner bound (see :mod:`repro.service.surfaces`), still
-   synchronous.  The bilinear estimate rides along for planning.
+   synchronous.  The bilinear estimate rides along for planning.  The
+   batch verb answers each of its rows through these same two lookups.
 3. **solve** — a true miss (outside the hull): a live solve dispatched to a
    reusable worker pool via ``run_in_executor`` under ``asyncio.wait_for``,
    so the event loop never blocks and no request outlives its deadline.
@@ -35,6 +35,8 @@ and resyncs rather than killing the handler) and a max-connections cap.
 The TCP front end (:func:`start_server`) speaks newline-delimited JSON —
 one request object per line, one response object per line — the simplest
 protocol a 1993-style ATM interface shim or a modern sidecar can speak.
+Non-finite numbers (an unstable mix's solved delay, a link that cannot be
+sized) go out as ``null``, so a strict RFC 8259 parser reads every line.
 It returns an :class:`AdmissionServer`, which proxies the asyncio server
 surface and adds :meth:`AdmissionServer.drain`: stop accepting, let every
 busy handler finish its current answer, then close — the building block
@@ -136,8 +138,9 @@ class Decision:
         The boundary value the decision compared against (``None`` on the
         solve/degraded/shed tiers, which probe the queried point directly).
     estimate:
-        Bilinear boundary estimate (interpolated tier only) — planning
-        data, never the decision.
+        Bilinear boundary estimate on the interpolated tier — planning
+        data, never the decision; the solved mean delay on the solve tier
+        (``inf`` for an unstable mix, sent as JSON ``null``).
     latency_s:
         Service-side decision latency in seconds.
     detail:
@@ -200,14 +203,27 @@ class BandwidthAnswer:
     generation: int = 0
 
 
+def _chaos_pause(request_index: int) -> None:
+    """Honour the active chaos plan at the top of a solve (a hung solve).
+
+    Sets the plan's context to this request index and sleeps the delay the
+    plan injects for it, if any.
+    """
+    plan = chaos.active_plan()
+    if plan is not None:
+        chaos.set_context(request_index, 1)
+        pause = plan.delay_for(request_index, 1)
+        if pause > 0.0:
+            time.sleep(pause)
+
+
 def _solve_admit_miss(
     surfaces: DecisionSurfaces,
     n1: float,
     n2: float,
-    delay_target: float,
-    request_index: int,
     exact: bool,
     warm_state: dict,
+    request_index: int,
 ):
     """Worker-pool body for a tier-3 admit: returns (delay, diagnostics).
 
@@ -216,12 +232,7 @@ def _solve_admit_miss(
     is slept (a hung solve), and the degradation chain consults the
     poisoned-rung registry before each rung.
     """
-    plan = chaos.active_plan()
-    if plan is not None:
-        chaos.set_context(request_index, 1)
-        pause = plan.delay_for(request_index, 1)
-        if pause > 0.0:
-            time.sleep(pause)
+    _chaos_pause(request_index)
     params = surfaces.params
     service_rate = surfaces.service_rate
 
@@ -267,17 +278,32 @@ def _solve_bandwidth_miss(
     surfaces: DecisionSurfaces, delay_target: float, request_index: int
 ):
     """Worker-pool body for a tier-3 bandwidth query."""
-    plan = chaos.active_plan()
-    if plan is not None:
-        chaos.set_context(request_index, 1)
-        pause = plan.delay_for(request_index, 1)
-        if pause > 0.0:
-            time.sleep(pause)
+    _chaos_pause(request_index)
 
     def solution2_rung() -> float:
         return bandwidth_for_delay_target(surfaces.params, delay_target)
 
     return DegradationChain(SOLVE_CHAIN, [("solution2", solution2_rung)]).run()
+
+
+def _lookup(surfaces: DecisionSurfaces, n1: float, delay_target: float):
+    """Tiers 1 and 2: ``(tier, max_n2, estimate, detail)``, ``None`` on a miss.
+
+    The exact grid point first, then the conservative corner — synchronous
+    list reads that scalar admits and every batch row share.
+    """
+    bound = surfaces.grid_bound(n1, delay_target)
+    if bound is not None:
+        return "surface", bound, None, ""
+    corner = surfaces.interpolated_bound(n1, delay_target)
+    if corner is None:
+        return None
+    return (
+        "interpolated",
+        corner.max_n2,
+        corner.estimate,
+        "conservative corner bound",
+    )
 
 
 class AdmissionService:
@@ -454,116 +480,83 @@ class AdmissionService:
         exactly once and delegate here, so answers stay single-generation
         even when a hot reload lands while a miss solve is in flight.
         """
-        bound = surfaces.grid_bound(n1, delay_target)
-        if bound is not None:
-            return self._finish(
-                Decision(
-                    admit=n2 <= bound,
-                    tier="surface",
-                    max_n2=bound,
-                    estimate=None,
-                    latency_s=time.perf_counter() - started,
-                    generation=generation,
-                )
+        answer = _lookup(surfaces, n1, delay_target)
+        if answer is not None:
+            tier, max_n2, estimate, detail = answer
+            admit = n2 <= max_n2
+        else:
+            tier, estimate, detail = await self._live_solve(
+                _solve_admit_miss,
+                (surfaces, n1, n2, self.exact, self._qbd_warm),
+                deadline_s,
+                started,
+                "conservative deny",
             )
-
-        interpolated = surfaces.interpolated_bound(n1, delay_target)
-        if interpolated is not None:
-            return self._finish(
-                Decision(
-                    admit=n2 <= interpolated.max_n2,
-                    tier="interpolated",
-                    max_n2=interpolated.max_n2,
-                    estimate=interpolated.estimate,
-                    latency_s=time.perf_counter() - started,
-                    detail="conservative corner bound",
-                    generation=generation,
-                )
-            )
-
-        shed = self._shed_reason(deadline_s, started)
-        if shed:
-            return self._finish(
-                Decision(
-                    admit=False,
-                    tier="shed",
-                    max_n2=None,
-                    estimate=None,
-                    latency_s=time.perf_counter() - started,
-                    detail=shed,
-                    generation=generation,
-                )
-            )
-
-        index = next(self._request_index)
-        loop = asyncio.get_running_loop()
-        self._solves_inflight += 1
-        try:
-            delay, diagnostics = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._pool,
-                    _solve_admit_miss,
-                    surfaces,
-                    n1,
-                    n2,
-                    delay_target,
-                    index,
-                    self.exact,
-                    self._qbd_warm,
-                ),
-                timeout=self._solve_budget(deadline_s, started),
-            )
-        except asyncio.TimeoutError:
-            return self._finish(
-                Decision(
-                    admit=False,
-                    tier="degraded",
-                    max_n2=None,
-                    estimate=None,
-                    latency_s=time.perf_counter() - started,
-                    detail=f"solve exceeded {self.solve_timeout:g}s deadline; "
-                    "conservative deny",
-                    generation=generation,
-                )
-            )
-        except (DegradationError, Exception) as error:  # noqa: BLE001
-            return self._finish(
-                Decision(
-                    admit=False,
-                    tier="degraded",
-                    max_n2=None,
-                    estimate=None,
-                    latency_s=time.perf_counter() - started,
-                    detail=f"solve failed ({error!r}); conservative deny",
-                    generation=generation,
-                )
-            )
-        finally:
-            self._solves_inflight -= 1
+            max_n2 = None
+            admit = estimate is not None and estimate <= delay_target
         return self._finish(
             Decision(
-                admit=delay <= delay_target,
-                tier="solve",
-                max_n2=None,
-                estimate=delay,
+                admit=admit,
+                tier=tier,
+                max_n2=max_n2,
+                estimate=estimate,
                 latency_s=time.perf_counter() - started,
-                detail=f"live solve answered by rung {diagnostics.rung!r}",
+                detail=detail,
                 generation=generation,
             )
         )
 
+    async def _live_solve(
+        self,
+        body,
+        args: tuple,
+        deadline_s: float | None,
+        started: float,
+        refusal: str,
+    ) -> tuple[str, float | None, str]:
+        """Tier 3: run ``body(*args, request_index)`` on the solve pool.
+
+        Returns ``(tier, value, detail)``: ``"solve"`` with the body's
+        answer, or ``"shed"``/``"degraded"`` with ``None``, which the caller
+        answers conservatively; ``refusal`` names that answer in a degraded
+        ``detail``.  The request index is taken only once the shed check
+        passes, one per solve, because chaos plans key on it.
+        """
+        shed = self._shed_reason(deadline_s, started)
+        if shed:
+            return "shed", None, shed
+        index = next(self._request_index)
+        loop = asyncio.get_running_loop()
+        self._solves_inflight += 1
+        try:
+            value, diagnostics = await asyncio.wait_for(
+                loop.run_in_executor(self._pool, body, *args, index),
+                timeout=self._solve_budget(deadline_s, started),
+            )
+        except asyncio.TimeoutError:
+            return (
+                "degraded",
+                None,
+                f"solve exceeded {self.solve_timeout:g}s deadline; {refusal}",
+            )
+        except (DegradationError, Exception) as error:  # noqa: BLE001
+            return "degraded", None, f"solve failed ({error!r}); {refusal}"
+        finally:
+            self._solves_inflight -= 1
+        return "solve", value, f"live solve answered by rung {diagnostics.rung!r}"
+
     async def admit_batch(
         self, n1, n2, delay_target, deadline_s: float | None = None
     ) -> BatchDecision:
-        """Answer many admit queries in one call, splitting rows by tier.
+        """Answer many admit queries in one call, each row as ``admit`` would.
 
-        Exact-grid rows answer through the vectorized
-        :meth:`~repro.service.surfaces.DecisionSurfaces.admit_batch` path
-        in one numpy pass; in-hull off-grid rows take the conservative
-        corner; only true misses reach the solver pool (concurrently, via
-        the per-query admit path so deadlines, degradation, shedding, and
-        chaos faults behave exactly as they do for single queries).  The
-        surfaces are captured once at entry: every row answers from the
+        Every row is validated before any is answered.  Surface and
+        interpolated rows answer through the same lookups as a single
+        query, with their counters added once per counter name for the
+        whole batch; only true misses reach the solver pool (concurrently,
+        via the per-query admit path so deadlines, degradation, shedding,
+        and chaos faults behave exactly as they do for single queries).
+        The surfaces are captured once at entry: every row answers from the
         same generation.
         """
         started = time.perf_counter()
@@ -582,67 +575,36 @@ class AdmissionService:
                 f"batch carries {rows} rows; the protocol limit is "
                 f"{MAX_BATCH_ROWS}"
             )
-        if rows == 0:
-            return BatchDecision(
-                admit=[],
-                tier=[],
-                max_n2=[],
-                estimate=[],
-                latency_s=time.perf_counter() - started,
-                generation=generation,
-            )
         for label, values in (("n1", n1), ("n2", n2)):
             if not bool(np.all(np.isfinite(values) & (values >= 0))):
                 raise ValueError(f"{label} must be finite and non-negative")
         if not bool(np.all(np.isfinite(delay_target) & (delay_target > 0))):
             raise ValueError("delay_target must be finite and positive")
 
+        queries = list(zip(n1.tolist(), n2.tolist(), delay_target.tolist()))
         admit: list[bool] = [False] * rows
         tier: list[str] = [""] * rows
         max_n2: list[float | None] = [None] * rows
         estimate: list[float | None] = [None] * rows
-
-        on_grid = surfaces.grid_mask(n1, delay_target)
-        grid_rows = np.flatnonzero(on_grid)
-        if grid_rows.size:
-            grid_admit = surfaces.admit_batch(
-                n1[grid_rows], n2[grid_rows], delay_target[grid_rows]
-            )
-            target_rows = np.clip(
-                np.searchsorted(
-                    surfaces.delay_targets, delay_target[grid_rows]
-                ),
-                0,
-                len(surfaces.delay_targets) - 1,
-            )
-            bounds = surfaces.max_n2[
-                target_rows, n1[grid_rows].astype(np.intp)
-            ]
-            for offset, row in enumerate(grid_rows):
-                admit[row] = bool(grid_admit[offset])
-                tier[row] = "surface"
-                max_n2[row] = float(bounds[offset])
-            admitted = int(np.count_nonzero(grid_admit))
-            self._count("surface", int(grid_rows.size))
-            self._count("admitted", admitted)
-            self._count("denied", int(grid_rows.size) - admitted)
-
         misses: list[int] = []
-        for row in np.flatnonzero(~on_grid):
-            row = int(row)
-            bound = surfaces.interpolated_bound(
-                float(n1[row]), float(delay_target[row])
-            )
-            if bound is None:
+        for row, (row_n1, row_n2, row_delay) in enumerate(queries):
+            answer = _lookup(surfaces, row_n1, row_delay)
+            if answer is None:
                 misses.append(row)
                 continue
-            ok = float(n2[row]) <= bound.max_n2
-            admit[row] = ok
-            tier[row] = "interpolated"
-            max_n2[row] = bound.max_n2
-            estimate[row] = bound.estimate
-            self._count("interpolated")
-            self._count("admitted" if ok else "denied")
+            tier[row], max_n2[row], estimate[row], _ = answer
+            admit[row] = row_n2 <= max_n2[row]
+        # One counter write per name for the whole batch: a shard mirrors
+        # every write into the fleet's shared counter row.
+        admitted = admit.count(True)
+        for name, k in (
+            ("surface", tier.count("surface")),
+            ("interpolated", tier.count("interpolated")),
+            ("admitted", admitted),
+            ("denied", rows - len(misses) - admitted),
+        ):
+            if k:
+                self._count(name, k)
 
         if misses:
             decisions = await asyncio.gather(
@@ -650,9 +612,7 @@ class AdmissionService:
                     self._admit_with(
                         surfaces,
                         generation,
-                        float(n1[row]),
-                        float(n2[row]),
-                        float(delay_target[row]),
+                        *queries[row],
                         deadline_s,
                         started,
                     )
@@ -687,73 +647,25 @@ class AdmissionService:
 
         answer = surfaces.bandwidth_bound(delay_target)
         if answer is not None:
-            bound, estimate, exact = answer
+            bandwidth, estimate, exact = answer
             tier = "surface" if exact else "interpolated"
-            self._count(tier)
-            return BandwidthAnswer(
-                bandwidth=bound,
-                estimate=estimate,
-                tier=tier,
-                latency_s=time.perf_counter() - started,
-                generation=generation,
-            )
-
-        shed = self._shed_reason(deadline_s, started)
-        if shed:
-            self._count("shed")
-            return BandwidthAnswer(
-                bandwidth=math.inf,
-                estimate=None,
-                tier="shed",
-                latency_s=time.perf_counter() - started,
-                detail=shed,
-                generation=generation,
-            )
-
-        index = next(self._request_index)
-        loop = asyncio.get_running_loop()
-        self._solves_inflight += 1
-        try:
-            bandwidth, diagnostics = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._pool,
-                    _solve_bandwidth_miss,
-                    surfaces,
-                    delay_target,
-                    index,
-                ),
-                timeout=self._solve_budget(deadline_s, started),
-            )
-        except asyncio.TimeoutError:
-            self._count("degraded")
-            return BandwidthAnswer(
-                bandwidth=math.inf,
-                estimate=None,
-                tier="degraded",
-                latency_s=time.perf_counter() - started,
-                detail=f"solve exceeded {self.solve_timeout:g}s deadline; "
+            detail = ""
+        else:
+            tier, estimate, detail = await self._live_solve(
+                _solve_bandwidth_miss,
+                (surfaces, delay_target),
+                deadline_s,
+                started,
                 "refusing to size the link",
-                generation=generation,
             )
-        except (DegradationError, Exception) as error:  # noqa: BLE001
-            self._count("degraded")
-            return BandwidthAnswer(
-                bandwidth=math.inf,
-                estimate=None,
-                tier="degraded",
-                latency_s=time.perf_counter() - started,
-                detail=f"solve failed ({error!r}); refusing to size the link",
-                generation=generation,
-            )
-        finally:
-            self._solves_inflight -= 1
-        self._count("solve")
+            bandwidth = math.inf if estimate is None else estimate
+        self._count(tier)
         return BandwidthAnswer(
             bandwidth=bandwidth,
-            estimate=bandwidth,
-            tier="solve",
+            estimate=estimate,
+            tier=tier,
             latency_s=time.perf_counter() - started,
-            detail=f"live solve answered by rung {diagnostics.rung!r}",
+            detail=detail,
             generation=generation,
         )
 
@@ -1016,13 +928,18 @@ class AdmissionServer:
                 pass
 
 
+def _finite(value: float | None) -> float | None:
+    """``value``, or ``None`` (JSON ``null``) when it is not a finite number."""
+    return value if value is None or math.isfinite(value) else None
+
+
 def _decision_payload(decision: Decision) -> dict:
     return {
         "ok": True,
         "admit": decision.admit,
         "tier": decision.tier,
         "max_n2": decision.max_n2,
-        "estimate": decision.estimate,
+        "estimate": _finite(decision.estimate),
         "latency_us": round(decision.latency_s * 1e6, 1),
         "detail": decision.detail,
         "gen": decision.generation,
@@ -1032,8 +949,8 @@ def _decision_payload(decision: Decision) -> dict:
 def _bandwidth_payload(answer: BandwidthAnswer) -> dict:
     return {
         "ok": True,
-        "bandwidth": None if math.isinf(answer.bandwidth) else answer.bandwidth,
-        "estimate": answer.estimate,
+        "bandwidth": _finite(answer.bandwidth),
+        "estimate": _finite(answer.estimate),
         "tier": answer.tier,
         "latency_us": round(answer.latency_s * 1e6, 1),
         "detail": answer.detail,
@@ -1048,7 +965,7 @@ def _batch_payload(batch: BatchDecision) -> dict:
         "admit": batch.admit,
         "tier": batch.tier,
         "max_n2": batch.max_n2,
-        "estimate": batch.estimate,
+        "estimate": [_finite(value) for value in batch.estimate],
         "latency_us": round(batch.latency_s * 1e6, 1),
         "gen": batch.generation,
     }

@@ -39,8 +39,9 @@ import json
 import math
 import warnings
 import zipfile
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -185,9 +186,10 @@ class DecisionSurfaces:
         Queries outside the hull are *misses* — the service answers them
         with a live solve (or a conservative deny when solving fails).
         """
+        targets, rows, _ = self._grid
         return bool(
-            0.0 <= n1 <= self.max_population
-            and self.delay_targets[0] <= delay_target <= self.delay_targets[-1]
+            0.0 <= n1 <= len(rows[0]) - 1
+            and targets[0] <= delay_target <= targets[-1]
         )
 
     def tightened(self, by: float = 1.0) -> "DecisionSurfaces":
@@ -214,75 +216,30 @@ class DecisionSurfaces:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def admit_batch(
-        self,
-        n1: np.ndarray,
-        n2: np.ndarray,
-        delay_target: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized exact-grid admits: one boolean per query row.
+    @cached_property
+    def _grid(self) -> tuple[list[float], list[list[float]], list[float]]:
+        """The grids as Python lists: targets, ``max_n2`` rows, bandwidth.
 
-        The tier-1 hot path: every query must sit exactly on the grid
-        (integral ``n1`` within range, ``delay_target`` equal to a grid
-        row).  Off-grid rows raise ``ValueError`` — routing them to tier 2
-        or 3 is the service's job, not a silent reinterpretation here.
+        Built on first lookup, once per instance (a hot reload's surfaces
+        and each shard's shared-memory view build their own).  The lookups
+        read these rather than the arrays: the same float64 values and the
+        same arithmetic, without numpy's per-scalar call overhead.
         """
-        n1 = np.asarray(n1, dtype=float)
-        n2 = np.asarray(n2, dtype=float)
-        delay_target = np.asarray(delay_target, dtype=float)
-        rows = np.searchsorted(self.delay_targets, delay_target)
-        rows = np.clip(rows, 0, len(self.delay_targets) - 1)
-        on_grid_delay = np.isclose(
-            self.delay_targets[rows], delay_target, rtol=_GRID_RTOL, atol=0.0
+        return tuple(
+            np.asarray(grid, dtype=float).tolist()
+            for grid in (self.delay_targets, self.max_n2, self.bandwidth)
         )
-        integral_n1 = (n1 == np.floor(n1)) & (n1 >= 0) & (n1 <= self.max_population)
-        if not bool(np.all(on_grid_delay & integral_n1)):
-            raise ValueError(
-                "admit_batch requires exact-grid queries; route off-grid "
-                "points through interpolate/solve tiers"
-            )
-        bounds = self.max_n2[rows, n1.astype(np.intp)]
-        return n2 <= bounds
-
-    def grid_mask(self, n1: np.ndarray, delay_target: np.ndarray) -> np.ndarray:
-        """Vectorized tier classifier: which query rows sit exactly on grid.
-
-        The batched protocol verb splits a mixed-tier request with this
-        mask: ``True`` rows answer through :meth:`admit_batch` in one
-        vectorized pass, the rest route through the interpolation/solve
-        tiers row by row — so only true misses ever reach the solver pool.
-        """
-        n1 = np.asarray(n1, dtype=float)
-        delay_target = np.asarray(delay_target, dtype=float)
-        rows = np.clip(
-            np.searchsorted(self.delay_targets, delay_target),
-            0,
-            len(self.delay_targets) - 1,
-        )
-        on_grid_delay = np.isclose(
-            self.delay_targets[rows], delay_target, rtol=_GRID_RTOL, atol=0.0
-        )
-        # Mirror grid_bound exactly: a delay marginally past the hull edge
-        # is a miss there (covers() runs first), so it must be one here.
-        in_hull = (delay_target >= self.delay_targets[0]) & (
-            delay_target <= self.delay_targets[-1]
-        )
-        integral_n1 = (n1 == np.floor(n1)) & (n1 >= 0) & (n1 <= self.max_population)
-        return on_grid_delay & in_hull & integral_n1
 
     def grid_bound(self, n1: float, delay_target: float) -> float | None:
         """Exact-grid boundary value, or ``None`` when the query is off-grid."""
-        if not self.covers(n1, delay_target):
+        if not self.covers(n1, delay_target) or n1 != math.floor(n1):
             return None
-        if n1 != math.floor(n1):
+        targets, rows, _ = self._grid
+        # Inside the hull, so the first target >= the query exists.
+        row = bisect_left(targets, delay_target)
+        if not math.isclose(targets[row], delay_target, rel_tol=_GRID_RTOL):
             return None
-        row = int(np.searchsorted(self.delay_targets, delay_target))
-        row = min(row, len(self.delay_targets) - 1)
-        if not math.isclose(
-            float(self.delay_targets[row]), delay_target, rel_tol=_GRID_RTOL
-        ):
-            return None
-        return float(self.max_n2[row, int(n1)])
+        return rows[row][int(n1)]
 
     def interpolated_bound(
         self, n1: float, delay_target: float
@@ -294,36 +251,30 @@ class DecisionSurfaces:
         """
         if not self.covers(n1, delay_target):
             return None
-        targets = self.delay_targets
+        targets, rows, _ = self._grid
         # Row index of the largest grid target <= the query (conservative:
         # a tighter target admits no more than the queried one).
-        row_lo = int(np.searchsorted(targets, delay_target, side="right")) - 1
-        if row_lo < 0:  # pragma: no cover — covers() already excluded this
-            return None
+        row_lo = bisect_right(targets, delay_target) - 1
         row_hi = min(row_lo + 1, len(targets) - 1)
-        col_lo = int(math.floor(n1))
-        col_hi = min(int(math.ceil(n1)), self.max_population)
-        row_is_exact = math.isclose(
-            float(targets[row_lo]), delay_target, rel_tol=_GRID_RTOL
+        col_lo = math.floor(n1)
+        col_hi = min(math.ceil(n1), len(rows[0]) - 1)
+        exact = (
+            math.isclose(targets[row_lo], delay_target, rel_tol=_GRID_RTOL)
+            and col_lo == col_hi
         )
-        exact = row_is_exact and col_lo == col_hi
-        # Conservative corner: tightest target row, largest n1 column.
-        bound = float(self.max_n2[row_lo, col_hi])
+        lo, hi = rows[row_lo], rows[row_hi]
         # Bilinear estimate across the enclosing cell (reporting only).
         if row_hi == row_lo:
             theta_d = 0.0
         else:
-            span = float(targets[row_hi] - targets[row_lo])
-            theta_d = (delay_target - float(targets[row_lo])) / span
+            span = targets[row_hi] - targets[row_lo]
+            theta_d = (delay_target - targets[row_lo]) / span
         theta_n = n1 - col_lo if col_hi != col_lo else 0.0
-        corners = self.max_n2[
-            np.ix_((row_lo, row_hi), (col_lo, col_hi))
-        ].astype(float)
-        estimate = float(
-            (1 - theta_d) * ((1 - theta_n) * corners[0, 0] + theta_n * corners[0, 1])
-            + theta_d * ((1 - theta_n) * corners[1, 0] + theta_n * corners[1, 1])
-        )
-        return SurfaceBound(max_n2=bound, estimate=estimate, exact=exact)
+        estimate = (1 - theta_d) * (
+            (1 - theta_n) * lo[col_lo] + theta_n * lo[col_hi]
+        ) + theta_d * ((1 - theta_n) * hi[col_lo] + theta_n * hi[col_hi])
+        # Conservative corner: tightest target row, largest n1 column.
+        return SurfaceBound(max_n2=lo[col_hi], estimate=estimate, exact=exact)
 
     def bandwidth_bound(
         self, delay_target: float
@@ -335,24 +286,19 @@ class DecisionSurfaces:
         by monotonicity is at least the true requirement.  ``None`` when
         the target lies outside the grid (a miss).
         """
-        targets = self.delay_targets
+        targets, _, bandwidth = self._grid
         if not targets[0] <= delay_target <= targets[-1]:
             return None
-        row_lo = int(np.searchsorted(targets, delay_target, side="right")) - 1
+        row_lo = bisect_right(targets, delay_target) - 1
         row_hi = min(row_lo + 1, len(targets) - 1)
-        exact = math.isclose(
-            float(targets[row_lo]), delay_target, rel_tol=_GRID_RTOL
-        )
-        bound = float(self.bandwidth[row_lo])
+        exact = math.isclose(targets[row_lo], delay_target, rel_tol=_GRID_RTOL)
+        bound = bandwidth[row_lo]
         if row_hi == row_lo:
             estimate = bound
         else:
-            span = float(targets[row_hi] - targets[row_lo])
-            theta = (delay_target - float(targets[row_lo])) / span
-            estimate = float(
-                (1 - theta) * self.bandwidth[row_lo]
-                + theta * self.bandwidth[row_hi]
-            )
+            span = targets[row_hi] - targets[row_lo]
+            theta = (delay_target - targets[row_lo]) / span
+            estimate = (1 - theta) * bound + theta * bandwidth[row_hi]
         return bound, estimate, exact
 
     # ------------------------------------------------------------------

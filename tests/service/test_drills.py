@@ -9,6 +9,7 @@ run and names itself.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import re
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.service.drills import DRILLS
+from repro.service.server import AdmissionService
 from repro.service.surfaces import DecisionSurfaces
 
 SMALL = [
@@ -83,3 +85,32 @@ def test_broken_invariant_exits_1_and_names_itself(monkeypatch):
     assert "BROKEN" in verdict
     assert "0 mixed-generation answers" in verdict
     assert "0 mixed-generation answers: False" in text
+
+
+def test_serve_smoke_checks_its_batch_rows(monkeypatch):
+    # A batch answered in reverse row order puts the interpolated probe's
+    # answer in the surface probe's row; the smoke must notice.
+    admit_batch = AdmissionService.admit_batch
+
+    async def reversed_rows(self, *args, **kwargs):
+        batch = await admit_batch(self, *args, **kwargs)
+        return dataclasses.replace(
+            batch,
+            admit=batch.admit[::-1],
+            tier=batch.tier[::-1],
+            max_n2=batch.max_n2[::-1],
+            estimate=batch.estimate[::-1],
+        )
+
+    monkeypatch.setattr(AdmissionService, "admit_batch", reversed_rows)
+    code, text = run_cli(
+        [
+            "serve", *SMALL, "--delay-targets", "0.6,0.9",
+            "--max-population", "4", "--smoke", "--port", "0",
+        ]
+    )
+    assert code == 1
+    (verdict,) = [line for line in text.splitlines() if line.startswith("verdict")]
+    assert "BROKEN" in verdict
+    assert "batch rows match their probes" in verdict
+    assert "batch rows match their probes: False" in text

@@ -228,6 +228,56 @@ class TestProtocol:
 
         _run(self._serve(surfaces, scenario))
 
+    def test_non_finite_numbers_answer_as_json_null(self, surfaces):
+        """RFC 8259 has no ``Infinity``: a strict parser must read every line."""
+        import dataclasses
+
+        import numpy as np
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        overloaded = {"n1": 40.0, "n2": 40.0, "delay_target": 3.0}
+        unsized = dataclasses.replace(
+            surfaces, bandwidth=np.full(surfaces.bandwidth.shape, math.inf)
+        )
+
+        async def scenario(host, port, service):
+            decision = await service.admit(**overloaded)
+            assert (decision.tier, decision.estimate) == ("solve", math.inf)
+            reader, writer = await asyncio.open_connection(host, port)
+
+            async def ask(request):
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                line = await reader.readline()
+                return json.loads(line, parse_constant=refuse)
+
+            try:
+                single = await ask({"op": "admit", **overloaded})
+                assert (single["tier"], single["estimate"]) == ("solve", None)
+                batch = await ask(
+                    {
+                        "op": "admit_batch",
+                        **{key: [value] for key, value in overloaded.items()},
+                    }
+                )
+                assert (batch["tier"], batch["estimate"]) == (["solve"], [None])
+                service.set_surfaces(unsized, 1)
+                width = await ask(
+                    {
+                        "op": "bandwidth",
+                        "delay_target": float(surfaces.delay_targets[-1]),
+                    }
+                )
+                assert width["tier"] == "surface"
+                assert (width["bandwidth"], width["estimate"]) == (None, None)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        _run(self._serve(surfaces, scenario))
+
 
 class TestLoadGenerator:
     def test_generated_queries_pin_their_tier(self, surfaces):
@@ -369,6 +419,51 @@ class TestBatchVerb:
                         assert batch.max_n2[row] == decision.max_n2
                         assert batch.estimate[row] == decision.estimate
                     assert batched.counters == single.counters
+
+        _run(scenario())
+
+    def test_edge_rows_match_per_query_decisions_and_counters(self, surfaces):
+        from repro.service.surfaces import _GRID_RTOL
+
+        first, middle, last = surfaces.delay_targets.tolist()
+        top = float(surfaces.max_population)
+        queries = [
+            (0.0, 0.0, first),  # n1 at 0, on the low hull edge
+            (top, 0.0, last),  # n1 at max_population, on the high hull edge
+            (top - 0.5, 0.0, middle),  # fractional n1 in the last column
+            (2.5, 1.0, middle),  # fractional n1 on a grid row
+            (3.0, 1.0, (first + middle) / 2.0),  # midway between rows
+            (1.0, 1.0, last * 2.0),  # past the hull (delay)
+            (top + 1.0, 0.0, first),  # past the hull (n1)
+            (1.0, 1.0, first * (1.0 - _GRID_RTOL / 2)),  # just below the hull
+            (1.0, 1.0, middle * (1.0 - _GRID_RTOL / 2)),
+            (1.0, 1.0, middle * (1.0 + _GRID_RTOL / 2)),
+            (2.0, 1.0, last * (1.0 - _GRID_RTOL / 2)),
+            (2.0, 1.0, last * (1.0 + _GRID_RTOL / 2)),  # just past the hull
+        ]
+        n1s, n2s, targets = (list(column) for column in zip(*queries))
+
+        async def scenario():
+            with AdmissionService(surfaces, solve_timeout=30.0) as single:
+                expected = [
+                    await single.admit(n1, n2, target)
+                    for n1, n2, target in queries
+                ]
+                with AdmissionService(surfaces, solve_timeout=30.0) as batched:
+                    batch = await batched.admit_batch(n1s, n2s, targets)
+                    answered = list(
+                        zip(batch.tier, batch.admit, batch.max_n2, batch.estimate)
+                    )
+                    assert answered == [
+                        (d.tier, d.admit, d.max_n2, d.estimate) for d in expected
+                    ]
+                    assert batched.counters == single.counters
+            # The edge rows reach both lookups and the live solve.
+            assert {d.tier for d in expected} == {
+                "surface",
+                "interpolated",
+                "solve",
+            }
 
         _run(scenario())
 

@@ -15,6 +15,7 @@ from repro.control.admission_table import (
     probe_stats,
 )
 from repro.service.surfaces import (
+    _GRID_RTOL,
     SURFACE_SCHEMA,
     DecisionSurfaces,
     binary_sidecar_path,
@@ -86,25 +87,6 @@ class TestLookups:
         assert surfaces.grid_bound(2.5, 0.6) is None
         assert surfaces.grid_bound(2.0, 0.75) is None
         assert surfaces.grid_bound(2.0, 5.0) is None
-
-    def test_admit_batch_matches_scalar(self, surfaces):
-        n1 = np.array([0.0, 1.0, 4.0, 8.0])
-        n2 = np.array([0.0, 2.0, 1.0, 0.0])
-        targets = np.array([0.6, 0.9, 1.4, 0.9])
-        answers = surfaces.admit_batch(n1, n2, targets)
-        for i in range(4):
-            bound = surfaces.grid_bound(float(n1[i]), float(targets[i]))
-            assert answers[i] == (n2[i] <= bound)
-
-    def test_admit_batch_rejects_off_grid(self, surfaces):
-        with pytest.raises(ValueError, match="exact-grid"):
-            surfaces.admit_batch(
-                np.array([0.5]), np.array([0.0]), np.array([0.6])
-            )
-        with pytest.raises(ValueError, match="exact-grid"):
-            surfaces.admit_batch(
-                np.array([1.0]), np.array([0.0]), np.array([0.75])
-            )
 
     def test_interpolated_bound_is_conservative_corner(self, surfaces):
         bound = surfaces.interpolated_bound(2.3, 1.0)
@@ -295,35 +277,157 @@ class TestBinaryArtifact:
             load_surfaces(sidecar)
 
 
-class TestGridMask:
-    def test_mask_agrees_with_scalar_grid_bound(self, surfaces):
-        targets = surfaces.delay_targets
-        probe_n1 = np.array([0.0, 2.0, 2.5, 8.0, 9.0, 3.0, 1.0, -1.0])
-        probe_delay = np.array(
-            [
-                targets[0],
-                targets[1],
-                targets[1],
-                targets[-1],
-                targets[0],
-                (targets[0] + targets[1]) / 2.0,
-                targets[-1] * 2.0,
-                targets[0],
-            ]
-        )
-        mask = surfaces.grid_mask(probe_n1, probe_delay)
-        for n1, delay, on_grid in zip(probe_n1, probe_delay, mask):
-            scalar = surfaces.grid_bound(float(n1), float(delay))
-            assert bool(on_grid) == (scalar is not None), (n1, delay)
+def _array_covers(surfaces, n1, delay_target):
+    return bool(
+        0.0 <= n1 <= surfaces.max_n2.shape[1] - 1
+        and surfaces.delay_targets[0] <= delay_target <= surfaces.delay_targets[-1]
+    )
 
-    def test_masked_rows_satisfy_admit_batch(self, surfaces):
-        n1 = np.array([1.0, 4.0, 6.5])
-        delay = np.array(
-            [surfaces.delay_targets[0], surfaces.delay_targets[2], 0.7]
+
+def _array_grid_bound(surfaces, n1, delay_target):
+    """The lookups written over the numpy arrays, one scalar index at a
+    time: the reference the list-backed lookups must match bit for bit."""
+    if not _array_covers(surfaces, n1, delay_target):
+        return None
+    if n1 != math.floor(n1):
+        return None
+    row = int(np.searchsorted(surfaces.delay_targets, delay_target))
+    row = min(row, len(surfaces.delay_targets) - 1)
+    if not math.isclose(
+        float(surfaces.delay_targets[row]), delay_target, rel_tol=_GRID_RTOL
+    ):
+        return None
+    return float(surfaces.max_n2[row, int(n1)])
+
+
+def _array_interpolated_bound(surfaces, n1, delay_target):
+    if not _array_covers(surfaces, n1, delay_target):
+        return None
+    targets = surfaces.delay_targets
+    row_lo = int(np.searchsorted(targets, delay_target, side="right")) - 1
+    row_hi = min(row_lo + 1, len(targets) - 1)
+    col_lo = int(math.floor(n1))
+    col_hi = min(int(math.ceil(n1)), surfaces.max_population)
+    row_is_exact = math.isclose(
+        float(targets[row_lo]), delay_target, rel_tol=_GRID_RTOL
+    )
+    exact = row_is_exact and col_lo == col_hi
+    bound = float(surfaces.max_n2[row_lo, col_hi])
+    if row_hi == row_lo:
+        theta_d = 0.0
+    else:
+        span = float(targets[row_hi] - targets[row_lo])
+        theta_d = (delay_target - float(targets[row_lo])) / span
+    theta_n = n1 - col_lo if col_hi != col_lo else 0.0
+    corners = surfaces.max_n2[
+        np.ix_((row_lo, row_hi), (col_lo, col_hi))
+    ].astype(float)
+    estimate = float(
+        (1 - theta_d) * ((1 - theta_n) * corners[0, 0] + theta_n * corners[0, 1])
+        + theta_d * ((1 - theta_n) * corners[1, 0] + theta_n * corners[1, 1])
+    )
+    return bound, estimate, exact
+
+
+def _array_bandwidth_bound(surfaces, delay_target):
+    targets = surfaces.delay_targets
+    if not targets[0] <= delay_target <= targets[-1]:
+        return None
+    row_lo = int(np.searchsorted(targets, delay_target, side="right")) - 1
+    row_hi = min(row_lo + 1, len(targets) - 1)
+    exact = math.isclose(
+        float(targets[row_lo]), delay_target, rel_tol=_GRID_RTOL
+    )
+    bound = float(surfaces.bandwidth[row_lo])
+    if row_hi == row_lo:
+        estimate = bound
+    else:
+        span = float(targets[row_hi] - targets[row_lo])
+        theta = (delay_target - float(targets[row_lo])) / span
+        with np.errstate(invalid="ignore"):  # 0 * inf beside an inf row
+            estimate = float(
+                (1 - theta) * surfaces.bandwidth[row_lo]
+                + theta * surfaces.bandwidth[row_hi]
+            )
+    return bound, estimate, exact
+
+
+def _hex(values):
+    """``float.hex`` of every float in a lookup answer (``None`` kept)."""
+    if values is None:
+        return None
+    if isinstance(values, float):
+        return values.hex()
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+#: The session surface, the same grid with one target (``row_hi ==
+#: row_lo`` everywhere), and one whose tighter rows cannot be sized
+#: (``inf`` bandwidth).
+_REFERENCE_SURFACES = (
+    _CONTRACT_SURFACES,
+    DecisionSurfaces(
+        params=_CONTRACT_SURFACES.params,
+        service_rate=_CONTRACT_SURFACES.service_rate,
+        delay_targets=_CONTRACT_SURFACES.delay_targets[1:2],
+        max_n2=_CONTRACT_SURFACES.max_n2[1:2],
+        bandwidth=_CONTRACT_SURFACES.bandwidth[1:2],
+    ),
+    DecisionSurfaces(
+        params=_CONTRACT_SURFACES.params,
+        service_rate=_CONTRACT_SURFACES.service_rate,
+        delay_targets=_CONTRACT_SURFACES.delay_targets,
+        max_n2=_CONTRACT_SURFACES.max_n2,
+        bandwidth=np.array([math.inf, math.inf, 2.5]),
+    ),
+)
+
+
+@st.composite
+def _lookup_query(draw, surfaces):
+    """One ``(n1, delay_target)`` of a kind the lookups branch on."""
+    targets = surfaces.delay_targets.tolist()
+    top = surfaces.max_population
+    target = draw(st.sampled_from(targets))
+    n1 = float(draw(st.integers(0, top)))
+    kind = draw(
+        st.sampled_from(
+            ("grid", "near", "between", "cell", "last", "outside")
         )
-        mask = surfaces.grid_mask(n1, delay)
-        assert mask.tolist() == [True, True, False]
-        admits = surfaces.admit_batch(
-            n1[mask], np.zeros(mask.sum()), delay[mask]
+    )
+    if kind == "grid":
+        return n1, target
+    if kind == "near":  # within _GRID_RTOL above or below a target
+        scale = draw(st.floats(-2 * _GRID_RTOL, 2 * _GRID_RTOL))
+        return n1, target * (1.0 + scale)
+    between = draw(st.floats(targets[0], targets[-1]))
+    if kind == "between":
+        return n1, between
+    if kind == "cell":  # fractional n1 inside any cell
+        return draw(st.floats(0.0, top)), between
+    if kind == "last":  # fractional n1 in the last column
+        return draw(st.floats(top - 1.0, top)), between
+    return (
+        draw(st.floats(-2.0, top + 2.0)),
+        draw(st.floats(targets[0] / 2.0, targets[-1] * 2.0)),
+    )
+
+
+class TestLookupsMatchArrayReference:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical_to_array_lookups(self, data):
+        surfaces = data.draw(st.sampled_from(_REFERENCE_SURFACES))
+        n1, delay_target = data.draw(_lookup_query(surfaces))
+        assert _hex(surfaces.grid_bound(n1, delay_target)) == _hex(
+            _array_grid_bound(surfaces, n1, delay_target)
         )
-        assert admits.shape == (2,)
+        interpolated = surfaces.interpolated_bound(n1, delay_target)
+        assert _hex(
+            None
+            if interpolated is None
+            else (interpolated.max_n2, interpolated.estimate, interpolated.exact)
+        ) == _hex(_array_interpolated_bound(surfaces, n1, delay_target))
+        assert _hex(surfaces.bandwidth_bound(delay_target)) == _hex(
+            _array_bandwidth_bound(surfaces, delay_target)
+        )
