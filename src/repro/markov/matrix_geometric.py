@@ -19,8 +19,9 @@ Solver notes
 ------------
 Three ``R`` solvers are provided, all agreeing to tolerance:
 
-* ``"cr"`` (default) — cyclic reduction for ``G`` followed by the standard
-  ``R = A0 (-(A1 + A0 G))^{-1}`` conversion.  Every linear system is solved
+* ``"cr"`` (default) — cyclic reduction for ``G`` followed by the
+  conversion ``R = A0 G / mu`` (the standard ``R = A0 (-(A1 + A0 G))^{-1}``
+  with ``A2 = mu I``, no solve).  Every linear system is solved
   through one LU factorization per step (``lu_factor``/``lu_solve``; no
   ``np.linalg.inv`` in the hot path), right-hand sides are stacked so each
   step does one 2n-column triangular solve, and the first step exploits the
@@ -56,6 +57,7 @@ import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve
 
 from repro.markov.mmpp import MMPP
+from repro.markov.spectral import power_bilinear
 
 __all__ = ["QBDSolution", "solve_mmpp_m1"]
 
@@ -105,13 +107,17 @@ class QBDSolution:
         return self.mean_rate / self.service_rate
 
     def level_distribution(self, max_level: int) -> np.ndarray:
-        """Marginal queue-length probabilities ``P(z = k)`` for ``k <= max_level``."""
-        probs = np.empty(max_level + 1)
-        vec = self.boundary.copy()
-        for level in range(max_level + 1):
-            probs[level] = vec.sum()
-            vec = vec @ self.rate_matrix
-        return probs
+        """Marginal queue-length probabilities ``P(z = k)`` for ``k <= max_level``.
+
+        ``P(z = k) = pi_0 R^k 1``, stepped in blocks of levels by
+        :func:`repro.markov.spectral.power_bilinear`.
+        """
+        return power_bilinear(
+            self.boundary,
+            self.rate_matrix,
+            np.ones(self.boundary.size),
+            max_level + 1,
+        )
 
     def mean_queue_length(self) -> float:
         """``E[z] = pi_0 R (I - R)^{-2} 1`` (customers in system).
@@ -173,7 +179,7 @@ def _solve_rate_matrix_lr(
 
     Computes ``G`` (first-passage-down probabilities, the minimal solution
     of ``A2 + A1 G + A0 G^2 = 0``) with quadratic convergence, then converts
-    to ``R = A0 (-(A1 + A0 G))^{-1}``.  Each step squares the effective
+    to ``R`` (:func:`_rate_from_g`).  Each step squares the effective
     horizon, so ~30 iterations suffice where the fixed point needs tens of
     thousands.
     """
@@ -195,7 +201,7 @@ def _solve_rate_matrix_lr(
             break
     else:
         raise ArithmeticError("logarithmic reduction did not converge")
-    return _rate_from_g(a0, a1, g)
+    return _rate_from_g(a0, a2, g)
 
 
 def _solve_g_cyclic_reduction(
@@ -263,10 +269,14 @@ def _solve_g_cyclic_reduction(
     return lu_solve(lu_factor(hat), -a2)
 
 
-def _rate_from_g(a0: np.ndarray, a1: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Convert ``G`` to ``R = A0 (-(A1 + A0 G))^{-1}`` via a transposed solve."""
-    m = -(a1 + a0 @ g)
-    return lu_solve(lu_factor(m.T), a0.T).T
+def _rate_from_g(a0: np.ndarray, a2: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Convert ``G`` to ``R = A0 (-(A1 + A0 G))^{-1}`` without a solve.
+
+    ``G`` solves ``(A1 + A0 G) G = -A2``; with ``A2 = mu I`` that makes
+    ``-(A1 + A0 G) = mu G^{-1}``, so ``R = A0 G / mu``, and the diagonal
+    ``A0 = D1`` of an MMPP/M/1 queue turns it into a row scaling of ``G``.
+    """
+    return (np.diagonal(a0) / a2[0, 0])[:, None] * g
 
 
 def _solve_rate_matrix(
@@ -279,7 +289,7 @@ def _solve_rate_matrix(
 ) -> np.ndarray:
     if method == "cr":
         g = _solve_g_cyclic_reduction(a0, a1, a2, tol, min(max_iterations, 100))
-        return _rate_from_g(a0, a1, g)
+        return _rate_from_g(a0, a2, g)
     if method == "lr":
         return _solve_rate_matrix_lr(a0, a1, a2, tol, min(max_iterations, 200))
     if method == "fixed-point":

@@ -22,10 +22,12 @@ import scipy.sparse as sp
 
 from repro.markov.ctmc import CTMC
 from repro.markov.spectral import (
+    GridPropagator,
     KrylovKernel,
     SpectralKernel,
     UniformizedKernel,
     resolve_backend,
+    uniform_step,
 )
 
 __all__ = ["MMPP", "fit_mmpp2_to_moments"]
@@ -157,6 +159,32 @@ class MMPP:
                     self._kernels[key] = UniformizedKernel(self.generator)
         return self._kernels[key]
 
+    def _bilinear(
+        self, matrix: str, left, right, times: np.ndarray, backend: str | None
+    ) -> np.ndarray:
+        """``left @ expm(M t) @ right`` over ``times`` for ``M = D0`` or ``Q``.
+
+        ``matrix`` is ``"d0"`` or ``"generator"``.  Under the resolved
+        ``dense`` backend an evenly spaced grid (see
+        :func:`~repro.markov.spectral.uniform_step`) steps through one
+        cached :class:`~repro.markov.spectral.GridPropagator` per matrix and
+        builds no kernel; any other grid, and the ``krylov`` backend, go to
+        :meth:`d0_kernel` or :meth:`generator_kernel`.
+        """
+        resolved = self._resolve_backend(backend)
+        if resolved == "dense" and uniform_step(times) is not None:
+            key = (matrix, "propagator")
+            if key not in self._kernels:
+                self._kernels[key] = GridPropagator(
+                    self.d0() if matrix == "d0" else self.generator
+                )
+            evaluator = self._kernels[key]
+        elif matrix == "d0":
+            evaluator = self.d0_kernel(resolved)
+        else:
+            evaluator = self.generator_kernel(resolved)
+        return evaluator.bilinear(left, right, times)
+
     # ------------------------------------------------------------------
     # First- and second-order statistics
     # ------------------------------------------------------------------
@@ -264,16 +292,20 @@ class MMPP:
         :meth:`interarrival_density` is precisely the within-interval phase
         drift those solutions ignore; tests quantify it.
 
-        ``method="spectral"`` (default) evaluates the whole grid from the
-        cached :meth:`d0_kernel` factorization under the requested analytic
-        ``backend`` (``None`` = process default); ``method="expm"`` is the
-        legacy one-``expm``-per-point path, kept as the equivalence anchor.
+        ``method="spectral"`` (default) evaluates the whole grid at once
+        under the requested analytic ``backend`` (``None`` = process
+        default): under ``dense`` an evenly spaced grid steps through one
+        cached ``expm(D0 h)`` (a
+        :class:`~repro.markov.spectral.GridPropagator`), and any other grid
+        uses the cached :meth:`d0_kernel` factorization, as does every
+        ``krylov`` grid.  ``method="expm"`` is the legacy
+        one-``expm``-per-point path, kept as the equivalence anchor.
         """
         phi = self.palm_state_distribution()
         rate_vector = self.rates  # D1 @ 1 = rates
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if method == "spectral":
-            return self.d0_kernel(backend).bilinear(phi, rate_vector, t)
+            return self._bilinear("d0", phi, rate_vector, t, backend)
         if method != "expm":
             raise ValueError(f"unknown interarrival method {method!r}")
         from scipy.linalg import expm
@@ -298,7 +330,7 @@ class MMPP:
         ones = np.ones(self.num_states)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if method == "spectral":
-            return 1.0 - self.d0_kernel(backend).bilinear(phi, ones, t)
+            return 1.0 - self._bilinear("d0", phi, ones, t, backend)
         if method != "expm":
             raise ValueError(f"unknown interarrival method {method!r}")
         from scipy.linalg import expm
@@ -345,18 +377,20 @@ class MMPP:
 
         ``c(u) = (pi * r) exp(Q u) r - lambda-bar^2`` — a bilinear form in
         the modulating generator's exponential.  ``method="spectral"``
-        (default) evaluates the whole lag grid through the cached
-        :meth:`generator_kernel` under the requested analytic ``backend``;
-        ``method="legacy"`` is the previous one-transient-solve-per-lag
-        path, kept as the equivalence anchor.
+        (default) evaluates the whole lag grid under the requested analytic
+        ``backend``: evenly spaced lags under ``dense`` step through one
+        cached ``expm(Q h)``, other lags and the ``krylov`` backend use the
+        cached :meth:`generator_kernel`.  ``method="legacy"`` is the
+        previous one-transient-solve-per-lag path, kept as the equivalence
+        anchor.
         """
         lags = np.atleast_1d(np.asarray(lags, dtype=float))
         pi = self.stationary_distribution()
         mean = float(pi @ self.rates)
         weighted = pi * self.rates
         if method == "spectral":
-            forward = self.generator_kernel(backend).bilinear(
-                weighted, self.rates, lags
+            forward = self._bilinear(
+                "generator", weighted, self.rates, lags, backend
             )
             return forward - mean**2
         if method != "legacy":
@@ -378,8 +412,9 @@ class MMPP:
 
         Uses ``Var N(t) = mean_rate * t + 2 ∫_0^t (t - u) c(u) du`` where
         ``c`` is the rate autocovariance, evaluated by trapezoidal quadrature
-        (the whole quadrature grid costs one kernel evaluation under the
-        default ``method="spectral"``).  A Poisson process has IDC ≡ 1;
+        (the evenly spaced quadrature grid costs one
+        :meth:`rate_autocovariance` evaluation under the default
+        ``method="spectral"``).  A Poisson process has IDC ≡ 1;
         HAP's IDC grows far above 1, which is the count-domain face of its
         burstiness.
         """

@@ -8,7 +8,7 @@ dense time grid.  The legacy code paid one ``scipy.linalg.expm`` (or one
 uniformized power series) per grid point; the MMPP-kernel literature
 (Asanjarani & Nazarathy; Asanjarani, Hautphenne & Nazarathy) computes these
 curves from a single factorization instead.  This module packages that idea
-as three reusable kernels:
+as three reusable kernels and one grid propagator:
 
 :class:`SpectralKernel`
     One-shot eigendecomposition ``M = V diag(w) V^{-1}``.  The bilinear form
@@ -39,6 +39,16 @@ as three reusable kernels:
     grids use ``expm_multiply``'s interval mode in memory-bounded chunks;
     non-uniform grids step point to point.
 
+:class:`GridPropagator`
+    Evenly spaced grids only (:func:`uniform_step`): one dense
+    ``P = expm(M h)``, and the rows ``left @ P^k`` advanced in
+    ``sqrt(K)``-row blocks with one product by ``P^B`` per block
+    (:func:`power_bilinear`, which also steps the QBD level pmf
+    ``pi_0 R^k 1``).  ``P`` and ``P^B`` are flushed of entries below
+    :data:`_PROPAGATOR_FLUSH` of their largest: a lattice chain's
+    propagator holds many subnormal entries, and every product with them
+    runs one to two orders of magnitude slower.
+
 Backend selection
 -----------------
 Consumers pick a kernel through the *backend* registry below:
@@ -47,6 +57,12 @@ Consumers pick a kernel through the *backend* registry below:
 * ``"krylov"`` — :class:`KrylovKernel` (sparse actions only).
 * ``"auto"``   — dense up to :data:`AUTO_DENSE_LIMIT` states, krylov above.
 
+Which evaluator answers is decided by input, not by an option:
+:class:`repro.markov.mmpp.MMPP` sends an evenly spaced grid of at least
+three points under a resolved ``dense`` backend to a :class:`GridPropagator`
+(one ``expm`` replaces the eigendecomposition) and builds no kernel for it;
+scattered or shorter grids, and every ``krylov`` grid, go to the kernels.
+
 :func:`resolve_backend` maps a requested backend (or ``None``) plus a state
 count to a concrete kernel family; the process-wide default is managed by
 :func:`set_default_backend` / :func:`use_backend`, which the CLI
@@ -54,14 +70,15 @@ count to a concrete kernel family; the process-wide default is managed by
 processes.
 
 All kernels are cheap enough to build eagerly, but consumers cache them
-(:class:`repro.markov.mmpp.MMPP` stores one per matrix *and backend*, and
-the mapping cache in :mod:`repro.core.mmpp_mapping` shares the MMPP
-instances), so each truncated HAP chain is factorized at most once per
-process and backend.
+(:class:`repro.markov.mmpp.MMPP` stores one per matrix *and backend*, plus
+one propagator per matrix, and the mapping cache in
+:mod:`repro.core.mmpp_mapping` shares the MMPP instances), so each truncated
+HAP chain is factorized at most once per process and backend.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 
@@ -72,12 +89,15 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "AUTO_DENSE_LIMIT",
+    "GridPropagator",
     "KrylovKernel",
     "SpectralKernel",
     "UniformizedKernel",
     "get_default_backend",
+    "power_bilinear",
     "resolve_backend",
     "set_default_backend",
+    "uniform_step",
     "use_backend",
 ]
 
@@ -292,6 +312,158 @@ class SpectralKernel:
         return values
 
 
+#: Relative tolerance for detecting a uniformly spaced time grid, which is
+#: eligible for :class:`GridPropagator` and ``expm_multiply``'s (faster)
+#: interval mode.
+_UNIFORM_GRID_RTOL = 1e-9
+
+#: :class:`GridPropagator` zeroes every entry of ``expm(M h)`` and of its
+#: block power below this fraction of the matrix's largest entry.  Entries
+#: of a lattice chain's propagator decay geometrically with lattice
+#: distance, so many land in the subnormal range, where each multiply runs
+#: one to two orders of magnitude slower: on the 2 226-state headline chain
+#: at ``h = 0.7/999``, ``expm(D0 h)`` held 130 690 subnormal entries and one
+#: product with it took 10.6 s on one CPU, against 0.32 s once they were
+#: zeroed.  The cut moves a result by at most 1e-30 of the propagator's
+#: scale.
+_PROPAGATOR_FLUSH = 1e-30
+
+
+def uniform_step(times) -> float | None:
+    """Spacing of an increasing, evenly spaced grid; ``None`` for any other.
+
+    A grid qualifies when it is one-dimensional with at least three points,
+    strictly increasing, and every gap equals the first to
+    :data:`_UNIFORM_GRID_RTOL`.  The answer is the mean gap
+    ``(t[-1] - t[0]) / (len(t) - 1)``.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 3:
+        return None
+    diffs = np.diff(times)
+    if not (diffs > 0.0).all() or not np.allclose(
+        diffs,
+        diffs[0],
+        rtol=_UNIFORM_GRID_RTOL,
+        atol=_UNIFORM_GRID_RTOL * max(1.0, float(times[-1])),
+    ):
+        return None
+    return float(times[-1] - times[0]) / (times.size - 1)
+
+
+def _flushed(matrix: np.ndarray) -> np.ndarray:
+    """Zero ``matrix``'s entries below :data:`_PROPAGATOR_FLUSH` of its largest, in place."""
+    magnitude = np.abs(matrix)
+    matrix[magnitude < _PROPAGATOR_FLUSH * magnitude.max()] = 0.0
+    return matrix
+
+
+def _squarings(count: int) -> int:
+    """``log2`` of the block size :func:`power_bilinear` uses for ``count`` steps.
+
+    Blocks are the largest power of two not above ``ceil(sqrt(count))``, so
+    the block power takes only squarings.
+    """
+    return (math.isqrt(count - 1) + 1).bit_length() - 1
+
+
+def _flushed_power(matrix: np.ndarray, squarings: int) -> np.ndarray:
+    """``matrix^(2^squarings)``, each square flushed (:func:`_flushed`)."""
+    for _ in range(squarings):
+        matrix = _flushed(matrix @ matrix)
+    return matrix
+
+
+def power_bilinear(
+    left: np.ndarray,
+    power: np.ndarray,
+    right: np.ndarray,
+    count: int,
+    jump: np.ndarray | None = None,
+) -> np.ndarray:
+    """``left @ power^k @ right`` for ``k = 0, ..., count - 1``.
+
+    Rows advance in blocks of ``B ~ sqrt(count)`` (a power of two): the
+    first block takes ``B - 1`` vector-matrix steps, and each later block
+    is the one before times ``power^B`` — one matrix product per block, so
+    the work runs in BLAS rather than in ``count`` interpreted steps.
+    ``jump`` is ``power^B`` when the caller has it; otherwise it is
+    computed here by ``log2 B`` flushed squarings
+    (:data:`_PROPAGATOR_FLUSH`).  Memory is one block of rows.
+    """
+    values = np.empty(count)
+    if count < 1:
+        return values
+    squarings = _squarings(count)
+    if jump is None:
+        jump = _flushed_power(power, squarings)
+    block = 1 << squarings
+    rows = np.empty((block, len(left)))
+    rows[0] = left
+    for k in range(1, block):
+        rows[k] = rows[k - 1] @ power
+    values[:block] = rows @ right
+    for start in range(block, count, block):
+        rows = rows @ jump
+        stop = min(start + block, count)
+        values[start:stop] = rows[: stop - start] @ right
+    return values
+
+
+class GridPropagator:
+    """Evaluate ``left @ expm(M t) @ right`` on evenly spaced grids by stepping.
+
+    On ``t_k = t_0 + k h`` the rows ``v_k = left @ expm(M t_k)`` obey
+    ``v_{k+1} = v_k P`` with ``P = expm(M h)``, so the whole grid is
+    :func:`power_bilinear` from ``v_0``: one ``expm`` (two when
+    ``t_0 > 0``), about ``log2 sqrt(K)`` squarings for the block power and
+    ``sqrt(K)`` block products, where an eigendecomposition costs several
+    ``expm``.  ``P`` and its block power are real and flushed of
+    subnormal-range entries (:data:`_PROPAGATOR_FLUSH`); only the last
+    step's pair is kept, so the density and distribution of one grid share
+    it.
+
+    The grid must satisfy :func:`uniform_step`.  Scattered times would need
+    one ``expm`` per distinct gap; they are the eigendecomposition's regime
+    (:class:`SpectralKernel`).
+    """
+
+    def __init__(self, matrix):
+        m = _as_dense(matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {m.shape}")
+        self.matrix = m
+        self._powers: tuple | None = None  # (step, P, squarings, P^B)
+
+    def _step_powers(self, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, P^B)`` for ``P = expm(M step)`` and a ``count``-point grid."""
+        squarings = _squarings(count)
+        powers = self._powers
+        if powers is None or powers[0] != step:
+            powers = (step, _flushed(la.expm(self.matrix * step)), -1, None)
+        if powers[2] != squarings:
+            jump = _flushed_power(powers[1], squarings)
+            powers = (step, powers[1], squarings, jump)
+        self._powers = powers
+        return powers[1], powers[3]
+
+    def bilinear(self, left: np.ndarray, right: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """``left @ expm(M t) @ right`` for every ``t`` of an evenly spaced grid."""
+        left = np.asarray(left, dtype=float)
+        right = np.asarray(right, dtype=float)
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        step = uniform_step(times)
+        if step is None:
+            raise ValueError(
+                "GridPropagator needs an increasing, evenly spaced grid of "
+                "at least 3 points"
+            )
+        power, jump = self._step_powers(step, times.size)
+        if times[0] != 0.0:
+            left = left @ _flushed(la.expm(self.matrix * float(times[0])))
+        return power_bilinear(left, power, right, times.size, jump)
+
+
 #: Target size (bytes) of the grid-point buffer a single
 #: :func:`scipy.sparse.linalg.expm_multiply` interval call is allowed to
 #: materialize inside :class:`KrylovKernel`.  Interval mode returns a
@@ -300,11 +472,6 @@ class SpectralKernel:
 #: while keeping the per-call overhead (one-norm estimation, parameter
 #: selection) amortized over hundreds of grid points.
 _KRYLOV_CHUNK_BYTES = 64 << 20
-
-#: Relative tolerance for detecting a uniformly spaced time grid, which is
-#: eligible for ``expm_multiply``'s (faster) interval mode.
-_UNIFORM_GRID_RTOL = 1e-9
-
 
 class KrylovKernel:
     """Action-based evaluation of ``left @ expm(M t) @ right`` on time grids.
@@ -374,17 +541,9 @@ class KrylovKernel:
         sorted_times = times[order]
         sorted_values = np.empty(sorted_times.shape)
 
-        diffs = np.diff(sorted_times)
-        uniform = diffs.size > 1 and np.allclose(
-            diffs,
-            diffs[0],
-            rtol=_UNIFORM_GRID_RTOL,
-            atol=_UNIFORM_GRID_RTOL * max(1.0, float(sorted_times[-1])),
-        )
-
         vector = left  # v(tau); tau starts at 0
         tau = 0.0
-        if uniform and diffs[0] > 0.0:
+        if uniform_step(sorted_times) is not None:
             chunk = self._chunk_points()
             start = 0
             while start < sorted_times.size:

@@ -52,12 +52,15 @@ class StateSpace:
         if any(b < 0 for b in bounds):
             raise ValueError("bounds must be non-negative")
         self.bounds = bounds
-        self._radices = np.array(bounds, dtype=np.int64) + 1
-        # Mixed-radix place values, last coordinate varying fastest.
-        self._places = np.concatenate(
-            [np.cumprod(self._radices[::-1])[-2::-1], [1]]
-        ).astype(np.int64)
-        self.size = int(np.prod(self._radices))
+        # Mixed-radix place values as plain ints, last coordinate varying
+        # fastest: index() and contains() run once per transition in
+        # build_generator, where a numpy call per state costs more than
+        # the arithmetic.
+        places = [1]
+        for bound in reversed(bounds[1:]):
+            places.append(places[-1] * (bound + 1))
+        self._places = tuple(reversed(places))
+        self.size = self._places[0] * (bounds[0] + 1)
 
     @property
     def ndim(self) -> int:
@@ -66,25 +69,31 @@ class StateSpace:
 
     def contains(self, state: tuple[int, ...]) -> bool:
         """True when every coordinate of ``state`` lies inside the box."""
-        return len(state) == self.ndim and all(
-            0 <= coord <= bound for coord, bound in zip(state, self.bounds)
-        )
+        if len(state) != len(self.bounds):
+            return False
+        for coord, bound in zip(state, self.bounds):
+            if not 0 <= coord <= bound:
+                return False
+        return True
 
     def index(self, state: tuple[int, ...]) -> int:
         """Dense index of ``state`` (mixed-radix encoding)."""
         if not self.contains(state):
             raise KeyError(f"state {state} outside bounds {self.bounds}")
-        return int(np.dot(self._places, state))
+        index = 0
+        for coord, place in zip(state, self._places):
+            index += coord * place
+        return int(index)
 
     def state(self, index: int) -> tuple[int, ...]:
         """Inverse of :meth:`index`."""
         if not 0 <= index < self.size:
             raise IndexError(f"index {index} outside 0..{self.size - 1}")
         coords = []
-        remainder = index
+        remainder = int(index)
         for place in self._places:
-            coords.append(int(remainder // place))
-            remainder %= place
+            coord, remainder = divmod(remainder, place)
+            coords.append(coord)
         return tuple(coords)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:

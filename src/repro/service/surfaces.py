@@ -283,8 +283,10 @@ class DecisionSurfaces:
 
         Conservative means *never under-provision*: the allocation answered
         is the one computed for the largest grid target <= the query, which
-        by monotonicity is at least the true requirement.  ``None`` when
-        the target lies outside the grid (a miss).
+        by monotonicity is at least the true requirement.  The estimate
+        interpolates toward the next target, except on an exact row, which
+        answers its bound.  ``None`` when the target lies outside the grid
+        (a miss).
         """
         targets, _, bandwidth = self._grid
         if not targets[0] <= delay_target <= targets[-1]:
@@ -293,7 +295,9 @@ class DecisionSurfaces:
         row_hi = min(row_lo + 1, len(targets) - 1)
         exact = math.isclose(targets[row_lo], delay_target, rel_tol=_GRID_RTOL)
         bound = bandwidth[row_lo]
-        if row_hi == row_lo:
+        if row_hi == row_lo or exact:
+            # Interpolating an exact row beside an inf (unsizable) one
+            # would answer (1 - 0) * inf + 0 * inf = nan.
             estimate = bound
         else:
             span = targets[row_hi] - targets[row_lo]

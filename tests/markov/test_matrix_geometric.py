@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
-from repro.markov.matrix_geometric import solve_mmpp_m1
+from repro.markov.matrix_geometric import (
+    _rate_from_g,
+    _solve_g_cyclic_reduction,
+    solve_mmpp_m1,
+)
 from repro.markov.mmpp import MMPP
 from repro.queueing.mm1 import solve_mm1
 
@@ -160,3 +165,40 @@ class TestWarmStart:
             solve_mmpp_m1(
                 bursty_mmpp(), 5.0, initial_rate_matrix=np.zeros((3, 3))
             )
+
+
+def random_mmpp(n: int, seed: int) -> MMPP:
+    rng = np.random.default_rng(seed)
+    generator = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    np.fill_diagonal(generator, 0.0)
+    generator -= np.diag(generator.sum(axis=1))
+    return MMPP(generator, 3.0 * rng.random(n))
+
+
+class TestSolveFreeSteps:
+    """R from G without a solve, and the level pmf stepped in blocks."""
+
+    def test_rate_from_g_matches_lu_form(self):
+        mmpp = random_mmpp(12, 3)
+        mu = mmpp.mean_rate() / 0.8
+        a0 = mmpp.d1()
+        a1 = mmpp.d0() - mu * np.eye(12)
+        a2 = mu * np.eye(12)
+        g = _solve_g_cyclic_reduction(a0, a1, a2, 1e-12, 100)
+        lu_form = lu_solve(lu_factor(-(a1 + a0 @ g).T), a0.T).T
+        np.testing.assert_allclose(
+            _rate_from_g(a0, a2, g), lu_form, rtol=1e-10, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("max_level", [0, 1, 400])
+    @pytest.mark.parametrize("load", [0.3, 0.9])
+    def test_level_distribution_matches_stepwise_loop(self, max_level, load):
+        mmpp = random_mmpp(12, 5)
+        solution = solve_mmpp_m1(mmpp, mmpp.mean_rate() / load)
+        expected, vec = [], solution.boundary
+        for _ in range(max_level + 1):
+            expected.append(vec.sum())
+            vec = vec @ solution.rate_matrix
+        np.testing.assert_allclose(
+            solution.level_distribution(max_level), expected, rtol=1e-12
+        )

@@ -117,6 +117,21 @@ class TestLookups:
         assert exact
         assert bound == estimate == surfaces.bandwidth[1]
 
+    def test_bandwidth_bound_beside_unsizable_rows(self, surfaces):
+        # The tighter targets cannot be sized (inf bandwidth): an exact
+        # row answers its own bound, never (1 - 0) * inf + 0 * inf = nan.
+        beside_inf = DecisionSurfaces(
+            params=surfaces.params,
+            service_rate=surfaces.service_rate,
+            delay_targets=np.array([0.6, 0.9, 1.2]),
+            max_n2=surfaces.max_n2,
+            bandwidth=np.array([math.inf, math.inf, 2.5]),
+        )
+        assert beside_inf.bandwidth_bound(0.6) == (math.inf, math.inf, True)
+        assert beside_inf.bandwidth_bound(0.9) == (math.inf, math.inf, True)
+        assert beside_inf.bandwidth_bound(1.0) == (math.inf, math.inf, False)
+        assert beside_inf.bandwidth_bound(1.2) == (2.5, 2.5, True)
+
 
 class TestConservativeContract:
     """The acceptance property: interpolated admits re-admit under a solve."""
@@ -339,7 +354,7 @@ def _array_bandwidth_bound(surfaces, delay_target):
         float(targets[row_lo]), delay_target, rel_tol=_GRID_RTOL
     )
     bound = float(surfaces.bandwidth[row_lo])
-    if row_hi == row_lo:
+    if row_hi == row_lo or exact:
         estimate = bound
     else:
         span = float(targets[row_hi] - targets[row_lo])
