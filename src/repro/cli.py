@@ -81,19 +81,6 @@ def _add_hap_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=("dense", "krylov", "auto"),
-        default="auto",
-        help="analytic grid-evaluation backend: 'dense' forces the "
-        "spectral (eigendecomposition) kernels, 'krylov' forces the "
-        "sparse action-based kernels, 'auto' (default) switches on "
-        "modulating-chain size; applies to every analytic solve in the "
-        "command, including sweeps fanned out over worker processes",
-    )
-
-
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout",
@@ -202,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="closed-form (and optionally exact) queueing analysis"
     )
     _add_hap_arguments(analyze)
-    _add_backend_argument(analyze)
     analyze.add_argument(
         "--exact",
         action="store_true",
@@ -217,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate", help="event-driven simulation")
     _add_hap_arguments(simulate)
-    _add_backend_argument(simulate)
     simulate.add_argument("--horizon", type=float, default=100_000.0)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
@@ -325,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--solver-workers", type=int, default=1, help="solve-pool width"
-    )
-    serve.add_argument(
-        "--exact",
-        action="store_true",
-        help="route tier-3 admits through the exact QBD ladder (warm-"
-        "started) before the Solution-2 closed form",
     )
     serve.add_argument(
         "--shards",
@@ -516,8 +495,6 @@ def _profiled(fn, out):
 
 
 def _command_analyze(args: argparse.Namespace, out) -> int:
-    from repro.markov.spectral import use_backend
-
     hap = _hap_from_args(args)
     print(hap.describe(), file=out)
     mm1 = hap.poisson_baseline()
@@ -525,11 +502,8 @@ def _command_analyze(args: argparse.Namespace, out) -> int:
     print(f"M/M/1 baseline delay : {mm1.mean_delay:.6g} s", file=out)
 
     def solve_all():
-        # args.backend scopes the analytic kernels; the Solution-0
-        # backend="qbd" below picks the queue solver — distinct axes.
-        with use_backend(getattr(args, "backend", None)):
-            sol2 = hap.solve(solution=2)
-            sol0 = hap.solve(solution=0, backend="qbd") if args.exact else None
+        sol2 = hap.solve(solution=2)
+        sol0 = hap.solve(solution=0, backend="qbd") if args.exact else None
         return sol2, sol0
 
     if getattr(args, "profile", False):
@@ -551,34 +525,22 @@ def _command_analyze(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _simulation_task(params, horizon: float, rng_mode: str, backend: str | None, seed: int):
-    """Picklable campaign task for ``simulate --replications N``.
-
-    ``backend`` is re-applied inside the worker process (the parent's
-    process default does not survive pickling) so any analytic evaluation a
-    replication performs honors the CLI selection.
-    """
-    from repro.markov.spectral import use_backend
+def _simulation_task(params, horizon: float, rng_mode: str, seed: int):
+    """Picklable campaign task for ``simulate --replications N``."""
     from repro.sim.replication import simulate_hap_mm1
 
-    with use_backend(backend):
-        return simulate_hap_mm1(
-            params, horizon=horizon, seed=seed, rng_mode=rng_mode
-        )
+    return simulate_hap_mm1(params, horizon=horizon, seed=seed, rng_mode=rng_mode)
 
 
 def _simulate_once(hap, args: argparse.Namespace):
     """One replication on the ``--engine`` the command names."""
-    from repro.markov.spectral import use_backend
-
     if args.engine != "heap":
         from repro.runtime.columnar import hap_approx_columnar_task
 
         return hap_approx_columnar_task(hap.params, args.horizon, args.seed)
-    with use_backend(getattr(args, "backend", None)):
-        return hap.simulate(
-            horizon=args.horizon, seed=args.seed, rng_mode=args.rng_mode
-        )
+    return hap.simulate(
+        horizon=args.horizon, seed=args.seed, rng_mode=args.rng_mode
+    )
 
 
 def _command_simulate(args: argparse.Namespace, out) -> int:
@@ -641,7 +603,6 @@ def _command_simulate_campaign(args: argparse.Namespace, hap, out) -> int:
             hap.params,
             args.horizon,
             args.rng_mode,
-            getattr(args, "backend", None),
         )
     else:
         task = partial(hap_approx_columnar_task, hap.params, args.horizon)
@@ -819,7 +780,6 @@ def _command_serve(args: argparse.Namespace, out) -> int:
             drain_grace=args.drain_grace,
             solve_timeout=args.solve_timeout,
             solver_workers=args.solver_workers,
-            exact=args.exact,
             overload=overload,
         ) as (host, port, fleet):
             if args.smoke:

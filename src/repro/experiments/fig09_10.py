@@ -11,11 +11,10 @@ replicated campaign (via :func:`repro.runtime.sweep.sweep`) measures the
 mean arrival rate the event-driven HAP actually produces and checks it
 against ``lambda-bar`` — the paper's mean interarrival of 0.133 s.
 
-The closed-form density grids themselves are embarrassingly parallel, so
-:func:`run_fig9` and :func:`run_fig10_tail` evaluate them through
-:func:`repro.runtime.analytic.grid_map`, which chunks the abscissa grid
-over the same process pool the simulation campaigns use (and collapses to
-one in-process vectorized call on a single worker).
+:func:`run_fig9` and :func:`run_fig10_tail` evaluate the closed-form
+density in one vectorized call over their grid: at the figures' few hundred
+points that takes well under a millisecond, less than starting one worker
+process would.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.core.interarrival import (
     poisson_interarrival_density,
 )
 from repro.experiments.configs import fig9_parameters
-from repro.runtime.analytic import grid_map
 from repro.runtime.sweep import SweepPoint, sweep
 from repro.sim.replication import ReplicationSummary, simulate_hap_mm1
 
@@ -69,22 +67,8 @@ class Fig9Result:
         )
 
 
-def _hap_density(params, grid):
-    """Picklable grid chunk task: the closed-form ``a(t)`` on ``grid``."""
-    return InterarrivalDistribution(params).density(grid)
-
-
-def run_fig9(
-    grid_upper: float = 0.7,
-    grid_points: int = 200,
-    max_workers: int | None = None,
-    backend: str | None = None,
-) -> Fig9Result:
-    """Compute both densities on a grid plus the crossing points.
-
-    ``backend`` selects the analytic grid-evaluation backend
-    (``dense``/``krylov``/``auto``); ``None`` keeps the process default.
-    """
+def run_fig9(grid_upper: float = 0.7, grid_points: int = 200) -> Fig9Result:
+    """Compute both densities on a grid plus the crossing points."""
     params = fig9_parameters()
     dist = InterarrivalDistribution(params)
     rate = params.mean_message_rate
@@ -95,12 +79,7 @@ def run_fig9(
         poisson_density_at_zero=rate,
         intersections=tuple(density_intersections(dist)),
         grid=grid,
-        hap_density=grid_map(
-            partial(_hap_density, params),
-            grid,
-            max_workers=max_workers,
-            backend=backend,
-        ),
+        hap_density=dist.density(grid),
         poisson_density=poisson_interarrival_density(rate, grid),
     )
 
@@ -201,8 +180,6 @@ def run_fig10_tail(
     tail_start: float = 0.45,
     tail_end: float = 0.7,
     grid_points: int = 120,
-    max_workers: int | None = None,
-    backend: str | None = None,
 ) -> Fig9Result:
     """The Figure-10 zoom: the tail window around the second crossing."""
     params = fig9_parameters()
@@ -217,11 +194,6 @@ def run_fig10_tail(
             t for t in density_intersections(dist) if tail_start <= t <= tail_end
         ),
         grid=grid,
-        hap_density=grid_map(
-            partial(_hap_density, params),
-            grid,
-            max_workers=max_workers,
-            backend=backend,
-        ),
+        hap_density=dist.density(grid),
         poisson_density=poisson_interarrival_density(rate, grid),
     )

@@ -113,7 +113,6 @@ def run_fig11(
     horizon: float = 300_000.0,
     seed: int = 11,
     max_workers: int | None = None,
-    backend: str | None = None,
     policy=None,
     checkpoint=None,
     resume: bool = False,
@@ -123,8 +122,7 @@ def run_fig11(
     The lowest capacities sit at the paper's 64 % utilization corner where
     HAP's delay blows up; expect large run-to-run variation there (that
     *is* the finding).  Points are independent and fan out over
-    ``max_workers`` processes (default: one per CPU); ``backend`` selects
-    the analytic grid-evaluation backend inside each worker.  ``policy``,
+    ``max_workers`` processes (default: one per CPU).  ``policy``,
     ``checkpoint`` and ``resume`` have the
     :func:`~repro.runtime.analytic.run_analytic_sweep` semantics — a
     checkpointed sweep interrupted mid-grid resumes from the last
@@ -138,7 +136,6 @@ def run_fig11(
     return run_analytic_sweep(
         tasks,
         max_workers=max_workers,
-        backend=backend,
         policy=policy,
         checkpoint=checkpoint,
         resume=resume,
@@ -158,7 +155,6 @@ def run_fig12(
     horizon: float = 300_000.0,
     seed: int = 12,
     max_workers: int | None = None,
-    backend: str | None = None,
     policy=None,
     checkpoint=None,
     resume: bool = False,
@@ -191,7 +187,6 @@ def run_fig12(
     return run_analytic_sweep(
         tasks,
         max_workers=max_workers,
-        backend=backend,
         policy=policy,
         checkpoint=checkpoint,
         resume=resume,

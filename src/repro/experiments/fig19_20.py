@@ -77,7 +77,6 @@ def run_fig19(
     factors: tuple[float, ...] = (0.85, 0.90, 0.95, 1.0, 1.05, 1.10, 1.15),
     service_rate: float = 20.0,
     max_workers: int | None = None,
-    backend: str | None = None,
     policy=None,
     checkpoint=None,
     resume: bool = False,
@@ -103,7 +102,6 @@ def run_fig19(
     return run_analytic_sweep(
         tasks,
         max_workers=max_workers,
-        backend=backend,
         policy=policy,
         checkpoint=checkpoint,
         resume=resume,
@@ -209,7 +207,6 @@ def run_fig20(
     max_apps: int = 60,
     service_rate: float = 20.0,
     max_workers: int | None = None,
-    backend: str | None = None,
     policy=None,
     checkpoint=None,
     resume: bool = False,
@@ -232,7 +229,6 @@ def run_fig20(
     return run_analytic_sweep(
         tasks,
         max_workers=max_workers,
-        backend=backend,
         policy=policy,
         checkpoint=checkpoint,
         resume=resume,

@@ -33,6 +33,14 @@ from repro.markov.spectral import (
 __all__ = ["MMPP", "fit_mmpp2_to_moments"]
 
 
+def _grid(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D float array; negative entries raise ``ValueError``."""
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    if np.any(grid < 0.0):
+        raise ValueError(f"{name} must be non-negative")
+    return grid
+
+
 @dataclass
 class MMPP:
     """An MMPP given by its modulating generator and per-state rates.
@@ -100,23 +108,20 @@ class MMPP:
         """Neuts' ``D1 = diag(rates)`` in CSR form."""
         return sp.diags(self.rates, format="csr").tocsr()
 
-    def _resolve_backend(self, backend: str | None) -> str:
-        return resolve_backend(backend, self.num_states)
-
-    def d0_kernel(self, backend: str | None = None):
+    def d0_kernel(self, backend: str = "auto"):
         """Grid-evaluation kernel for ``expm(D0 t)`` forms.
 
         Built once per resolved backend and cached on the instance (the
         mapping cache in :mod:`repro.core.mmpp_mapping` shares MMPP
         instances, so a chain factorized under one backend is not penalized
-        when another backend is requested later).  ``backend=None`` defers
-        to the process default (see
+        when another backend is requested later).  ``backend="auto"``
+        resolves by chain size (see
         :func:`repro.markov.spectral.resolve_backend`): a dense
         :class:`~repro.markov.spectral.SpectralKernel` for modest phase
         counts, the action-based
         :class:`~repro.markov.spectral.KrylovKernel` for large ones.
         """
-        resolved = self._resolve_backend(backend)
+        resolved = resolve_backend(backend, self.num_states)
         key = ("d0", resolved)
         if key not in self._kernels:
             if resolved == "krylov":
@@ -125,7 +130,7 @@ class MMPP:
                 self._kernels[key] = SpectralKernel(self.d0())
         return self._kernels[key]
 
-    def generator_kernel(self, backend: str | None = None):
+    def generator_kernel(self, backend: str = "auto"):
         """Grid-evaluation kernel for ``expm(Q t)`` forms.
 
         Same backend contract and per-backend caching as
@@ -138,7 +143,7 @@ class MMPP:
         layer removes.  The krylov path needs no such fallback: the
         truncated-Taylor action is unconditionally stable.
         """
-        resolved = self._resolve_backend(backend)
+        resolved = resolve_backend(backend, self.num_states)
         key = ("generator", resolved)
         if key not in self._kernels:
             if resolved == "krylov":
@@ -160,7 +165,7 @@ class MMPP:
         return self._kernels[key]
 
     def _bilinear(
-        self, matrix: str, left, right, times: np.ndarray, backend: str | None
+        self, matrix: str, left, right, times: np.ndarray, backend: str
     ) -> np.ndarray:
         """``left @ expm(M t) @ right`` over ``times`` for ``M = D0`` or ``Q``.
 
@@ -171,7 +176,7 @@ class MMPP:
         builds no kernel; any other grid, and the ``krylov`` backend, go to
         :meth:`d0_kernel` or :meth:`generator_kernel`.
         """
-        resolved = self._resolve_backend(backend)
+        resolved = resolve_backend(backend, self.num_states)
         if resolved == "dense" and uniform_step(times) is not None:
             key = (matrix, "propagator")
             if key not in self._kernels:
@@ -282,7 +287,7 @@ class MMPP:
         return m2 / m1**2 - 1.0
 
     def exact_interarrival_density(
-        self, t: np.ndarray, method: str = "spectral", backend: str | None = None
+        self, t: np.ndarray, method: str = "spectral", backend: str = "auto"
     ) -> np.ndarray:
         """Exact stationary-interval interarrival density.
 
@@ -293,17 +298,19 @@ class MMPP:
         drift those solutions ignore; tests quantify it.
 
         ``method="spectral"`` (default) evaluates the whole grid at once
-        under the requested analytic ``backend`` (``None`` = process
-        default): under ``dense`` an evenly spaced grid steps through one
+        under the requested analytic ``backend`` (``auto`` picks by chain
+        size): under ``dense`` an evenly spaced grid steps through one
         cached ``expm(D0 h)`` (a
         :class:`~repro.markov.spectral.GridPropagator`), and any other grid
         uses the cached :meth:`d0_kernel` factorization, as does every
         ``krylov`` grid.  ``method="expm"`` is the legacy
         one-``expm``-per-point path, kept as the equivalence anchor.
+        Negative times raise :class:`ValueError` under every method and
+        backend.
         """
+        t = _grid(t, "times")
         phi = self.palm_state_distribution()
         rate_vector = self.rates  # D1 @ 1 = rates
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         if method == "spectral":
             return self._bilinear("d0", phi, rate_vector, t, backend)
         if method != "expm":
@@ -317,18 +324,18 @@ class MMPP:
         return values
 
     def exact_interarrival_cdf(
-        self, t: np.ndarray, method: str = "spectral", backend: str | None = None
+        self, t: np.ndarray, method: str = "spectral", backend: str = "auto"
     ) -> np.ndarray:
         """Exact stationary-interval interarrival distribution ``A(t)``.
 
         ``A(t) = 1 - phi exp(D0 t) 1`` — the survival function is the
         probability no arrival has fired by ``t`` given the post-arrival
         phase mix ``phi``.  Same ``method``/``backend`` contract as
-        :meth:`exact_interarrival_density`.
+        :meth:`exact_interarrival_density`, negative times included.
         """
+        t = _grid(t, "times")
         phi = self.palm_state_distribution()
         ones = np.ones(self.num_states)
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         if method == "spectral":
             return 1.0 - self._bilinear("d0", phi, ones, t, backend)
         if method != "expm":
@@ -371,7 +378,7 @@ class MMPP:
         return (joint - m1**2) / variance
 
     def rate_autocovariance(
-        self, lags: np.ndarray, method: str = "spectral", backend: str | None = None
+        self, lags: np.ndarray, method: str = "spectral", backend: str = "auto"
     ) -> np.ndarray:
         """Autocovariance ``Cov(r(0), r(u))`` of the modulating rate.
 
@@ -382,9 +389,9 @@ class MMPP:
         cached ``expm(Q h)``, other lags and the ``krylov`` backend use the
         cached :meth:`generator_kernel`.  ``method="legacy"`` is the
         previous one-transient-solve-per-lag path, kept as the equivalence
-        anchor.
+        anchor.  Negative lags raise :class:`ValueError`.
         """
-        lags = np.atleast_1d(np.asarray(lags, dtype=float))
+        lags = _grid(lags, "lags")
         pi = self.stationary_distribution()
         mean = float(pi @ self.rates)
         weighted = pi * self.rates
@@ -406,7 +413,7 @@ class MMPP:
         t: float,
         quad_points: int = 256,
         method: str = "spectral",
-        backend: str | None = None,
+        backend: str = "auto",
     ) -> float:
         """Index of dispersion for counts ``IDC(t) = Var N(t) / E N(t)``.
 
@@ -416,10 +423,13 @@ class MMPP:
         :meth:`rate_autocovariance` evaluation under the default
         ``method="spectral"``).  A Poisson process has IDC ≡ 1;
         HAP's IDC grows far above 1, which is the count-domain face of its
-        burstiness.
+        burstiness.  ``quad_points`` must be at least 2: one node would
+        integrate to zero and report the Poisson value for any chain.
         """
         if t <= 0:
             raise ValueError("t must be positive")
+        if quad_points < 2:
+            raise ValueError("quad_points must be at least 2")
         us = np.linspace(0.0, t, quad_points)
         covariance = self.rate_autocovariance(us, method=method, backend=backend)
         integrand = (t - us) * covariance

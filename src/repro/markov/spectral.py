@@ -51,23 +51,21 @@ as three reusable kernels and one grid propagator:
 
 Backend selection
 -----------------
-Consumers pick a kernel through the *backend* registry below:
+Consumers pick a kernel family per call through the *backend* argument:
 
 * ``"dense"``  — :class:`SpectralKernel` (O(n^3) factorization, n^2 memory).
 * ``"krylov"`` — :class:`KrylovKernel` (sparse actions only).
-* ``"auto"``   — dense up to :data:`AUTO_DENSE_LIMIT` states, krylov above.
+* ``"auto"``   — the default: dense up to :data:`AUTO_DENSE_LIMIT` states,
+  krylov above.
 
 Which evaluator answers is decided by input, not by an option:
+:func:`resolve_backend` maps ``auto`` to a family by state count, and
 :class:`repro.markov.mmpp.MMPP` sends an evenly spaced grid of at least
 three points under a resolved ``dense`` backend to a :class:`GridPropagator`
 (one ``expm`` replaces the eigendecomposition) and builds no kernel for it;
 scattered or shorter grids, and every ``krylov`` grid, go to the kernels.
-
-:func:`resolve_backend` maps a requested backend (or ``None``) plus a state
-count to a concrete kernel family; the process-wide default is managed by
-:func:`set_default_backend` / :func:`use_backend`, which the CLI
-(``--backend``) and the analytic sweep runtime thread through to worker
-processes.
+There is no process-wide default: a caller that needs one family (the
+dense-vs-Krylov locks, the scale ladder) names it on the call.
 
 All kernels are cheap enough to build eagerly, but consumers cache them
 (:class:`repro.markov.mmpp.MMPP` stores one per matrix *and backend*, plus
@@ -80,7 +78,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import scipy.linalg as la
@@ -93,12 +90,9 @@ __all__ = [
     "KrylovKernel",
     "SpectralKernel",
     "UniformizedKernel",
-    "get_default_backend",
     "power_bilinear",
     "resolve_backend",
-    "set_default_backend",
     "uniform_step",
-    "use_backend",
 ]
 
 #: Valid analytic-backend names.
@@ -111,65 +105,23 @@ BACKENDS = ("dense", "krylov", "auto")
 #: (cheaper per grid point) dense path.
 AUTO_DENSE_LIMIT = 600
 
-#: Process-wide default backend; see :func:`set_default_backend`.
-_default_backend = "auto"
 
+def resolve_backend(backend: str = "auto", num_states: int | None = None) -> str:
+    """Map a requested backend to a concrete kernel family.
 
-def _validate_backend(backend: str) -> str:
+    ``auto`` resolves by state count: dense up to :data:`AUTO_DENSE_LIMIT`,
+    krylov above (and dense when the size is unknown).
+    """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown analytic backend {backend!r}; choose from {BACKENDS}"
         )
-    return backend
-
-
-def get_default_backend() -> str:
-    """The process-wide default analytic backend (``auto`` unless changed)."""
-    return _default_backend
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide default backend; returns the previous one.
-
-    ``dense``/``krylov`` force that kernel family everywhere a caller does
-    not override it explicitly; ``auto`` restores the size-based switch.
-    """
-    global _default_backend
-    previous = _default_backend
-    _default_backend = _validate_backend(backend)
-    return previous
-
-
-@contextmanager
-def use_backend(backend: str | None):
-    """Context manager scoping :func:`set_default_backend` to a block.
-
-    ``None`` is a no-op so callers can thread an optional backend argument
-    straight through.
-    """
-    if backend is None:
-        yield
-        return
-    previous = set_default_backend(backend)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
-
-
-def resolve_backend(backend: str | None = None, num_states: int | None = None) -> str:
-    """Map a requested backend to a concrete kernel family.
-
-    ``None`` means "use the process default".  ``auto`` resolves by state
-    count: dense up to :data:`AUTO_DENSE_LIMIT`, krylov above (and dense
-    when the size is unknown).
-    """
-    resolved = _validate_backend(backend if backend is not None else _default_backend)
-    if resolved == "auto":
+    if backend == "auto":
         if num_states is not None and num_states > AUTO_DENSE_LIMIT:
             return "krylov"
         return "dense"
-    return resolved
+    return backend
+
 
 #: Relative eigenvector-reconstruction residual above which the
 #: eigendecomposition is considered untrustworthy (defective/ill-conditioned

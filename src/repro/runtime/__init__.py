@@ -30,7 +30,7 @@ from repro import _lazy_exports
 __all__ = _lazy_exports(
     globals(),
     {
-        ".analytic": ("grid_map", "run_analytic_sweep"),
+        ".analytic": ("run_analytic_sweep",),
         ".chaos": ("ChaosPlan",),
         ".columnar": ("ColumnarReplication", "run_columnar_campaign"),
         ".executor": (

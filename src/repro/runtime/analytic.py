@@ -2,65 +2,48 @@
 
 The process-pool machinery in :mod:`repro.runtime.executor` was built for
 simulation replications, but the paper's figure pipelines are mostly
-*analytic* grids — Solution-2 load curves, QBD ladders, closed-form density
-grids — whose points are just as independent as simulation seeds.  This
-module adapts those zero-replication workloads onto :func:`repro.runtime
-.sweep.sweep` so they share the pool, the failure capture, and the
-determinism contract (results are keyed by grid position, never by
-scheduling):
+*analytic* grids — Solution-2 load curves, QBD ladders, bounded-population
+points — whose points are just as independent as simulation seeds.
+:func:`run_analytic_sweep` adapts those zero-replication workloads onto
+:func:`repro.runtime.sweep.sweep` so they share the pool, the failure
+capture, and the determinism contract (results are keyed by grid position,
+never by scheduling): it evaluates a list of labelled zero-argument tasks,
+one pool job each, returning results in input order.
 
-* :func:`run_analytic_sweep` — evaluate a list of labelled zero-argument
-  tasks, one pool job each, returning results in input order.
-* :func:`grid_map` — evaluate ``fn`` over a dense numpy grid in chunks
-  (Figure-9-style density grids), reassembling the full curve.
-
-With one worker both paths run in-process (no pool, no pickling), so small
-smoke-test grids pay no dispatch overhead; on multicore machines the grid
-fans out like any simulation campaign.  Tasks must be picklable (module
-level functions or :func:`functools.partial` over them) to actually fan
-out — the executor degrades to the identical serial path otherwise.
+With one worker the sweep runs in-process (no pool, no pickling), so small
+smoke-test sweeps pay no dispatch overhead; on multicore machines the
+points fan out like any simulation campaign.  Tasks must be picklable
+(module level functions or :func:`functools.partial` over them) to actually
+fan out — the executor degrades to the identical serial path otherwise.
+A closed-form curve over a numpy grid is one vectorized call, not a sweep:
+the Figure 9/10 drivers evaluate their densities directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
 
-import numpy as np
-
-from repro.markov.spectral import use_backend
 from repro.runtime.resilience import CheckpointJournal, RetryPolicy
 from repro.runtime.sweep import SweepPoint, sweep
 
-__all__ = ["grid_map", "run_analytic_sweep"]
+__all__ = ["run_analytic_sweep"]
 
 
 @dataclass(frozen=True)
 class _SeedlessTask:
-    """Picklable adapter giving a zero-argument task the ``task(seed)`` shape.
-
-    Carries the analytic-backend selection into the worker *process*: the
-    process-wide default set by the parent (e.g. the CLI's ``--backend``)
-    does not survive pickling, so the resolved request rides on the task and
-    is re-applied around the call via
-    :func:`repro.markov.spectral.use_backend` (``None`` = leave the worker's
-    default alone).
-    """
+    """Picklable adapter giving a zero-argument task the ``task(seed)`` shape."""
 
     fn: Callable
-    backend: str | None = None
 
     def __call__(self, seed: int):
-        with use_backend(self.backend):
-            return self.fn()
+        return self.fn()
 
 
 def run_analytic_sweep(
     tasks: Sequence[tuple[str, Callable]],
     max_workers: int | None = None,
     chunk_size: int | None = None,
-    backend: str | None = None,
     policy: RetryPolicy | None = None,
     checkpoint: CheckpointJournal | str | None = None,
     resume: bool = False,
@@ -74,11 +57,6 @@ def run_analytic_sweep(
         point.  Labels must be unique (they key failure reports).
     max_workers, chunk_size:
         As in :func:`repro.runtime.sweep.sweep`.
-    backend:
-        Analytic grid-evaluation backend (``dense``/``krylov``/``auto``)
-        applied around every task — in the worker process when the sweep
-        fans out, so ``--backend`` selections survive the pool boundary.
-        ``None`` (default) leaves each worker's process default in place.
     policy:
         Optional :class:`~repro.runtime.resilience.RetryPolicy`: per-point
         timeouts and retries (an analytic point is deterministic, but a
@@ -99,11 +77,7 @@ def run_analytic_sweep(
         return []
     labels = [label for label, _ in tasks]
     points = [
-        SweepPoint(
-            label=label,
-            task=_SeedlessTask(fn, backend=backend),
-            num_replications=1,
-        )
+        SweepPoint(label=label, task=_SeedlessTask(fn), num_replications=1)
         for label, fn in tasks
     ]
     result = sweep(
@@ -117,43 +91,3 @@ def run_analytic_sweep(
     )
     result.raise_if_failed()
     return [result[label].results[0] for label in labels]
-
-
-def _apply_chunk(fn: Callable, chunk: np.ndarray) -> np.ndarray:
-    return np.asarray(fn(chunk))
-
-
-def grid_map(
-    fn: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    num_chunks: int | None = None,
-    max_workers: int | None = None,
-    backend: str | None = None,
-    policy: RetryPolicy | None = None,
-) -> np.ndarray:
-    """Evaluate a vectorized ``fn`` over ``grid`` in parallel chunks.
-
-    ``fn`` must map an abscissa array to a same-length value array and be
-    picklable.  The grid is split into ``num_chunks`` contiguous chunks
-    (default: one per worker the executor would use, capped at 8) and the
-    partial curves are concatenated in grid order.  ``backend`` and
-    ``policy`` have the :func:`run_analytic_sweep` semantics (chunk labels
-    depend on ``num_chunks``, so checkpointing lives one level up).
-    """
-    grid = np.atleast_1d(np.asarray(grid))
-    if grid.size == 0:
-        return np.asarray(fn(grid))
-    if num_chunks is None:
-        from repro.runtime.executor import default_worker_count
-
-        num_chunks = min(8, default_worker_count(limit=grid.size))
-    num_chunks = max(1, min(int(num_chunks), grid.size))
-    chunks = np.array_split(grid, num_chunks)
-    tasks = [
-        (f"chunk-{index}", partial(_apply_chunk, fn, chunk))
-        for index, chunk in enumerate(chunks)
-    ]
-    parts = run_analytic_sweep(
-        tasks, max_workers=max_workers, backend=backend, policy=policy
-    )
-    return np.concatenate([np.atleast_1d(part) for part in parts])

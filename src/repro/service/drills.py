@@ -100,7 +100,7 @@ async def booted(
     loop (``fleet`` is ``None``) with ``plan`` active in this process; an
     integer boots a :class:`ShardFleet` of that many processes, each
     carrying ``plan``, and ``drain_grace`` applies.  ``options`` go to
-    both constructors (``solve_timeout``, ``solver_workers``, ``exact``,
+    both constructors (``solve_timeout``, ``solver_workers``,
     ``overload``).  Prints the listening address.
     """
     if shards is None:

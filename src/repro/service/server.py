@@ -12,13 +12,14 @@ Answer path for an ``admit(n1, n2, delay_target)`` query:
    reusable worker pool via ``run_in_executor`` under ``asyncio.wait_for``,
    so the event loop never blocks and no request outlives its deadline.
    The solve itself is a :class:`~repro.runtime.resilience.DegradationChain`
-   (``admission-solve``): optionally the exact QBD ladder — warm-started
-   across misses through the PR-3 mapping cache — then the Solution-2
-   closed form.  A solve that times out, exhausts its ladder, or hits a
-   poisoned rung (:mod:`repro.runtime.chaos`) degrades to tier
-   **degraded**: a conservative *deny* (bandwidth queries answer ``inf`` —
-   "do not commit").  The service may under-admit under faults; it never
-   over-admits and never hangs.
+   (``admission-solve``) with one rung, the Solution-2 closed form: the
+   paper's control-plane solver, milliseconds per miss.  (An exact QBD
+   solve of a pinned mix takes seconds to minutes and, for an asymmetric
+   mix, gigabytes — past any live deadline.)  A solve that times out,
+   fails, or hits a poisoned rung (:mod:`repro.runtime.chaos`) degrades to
+   tier **degraded**: a conservative *deny* (bandwidth queries answer
+   ``inf`` — "do not commit").  The service may under-admit under faults;
+   it never over-admits and never hangs.
 
 Overload is a first-class operating mode, not an accident.  The only queue
 that can grow without bound is the live-solve path (tiers 1/2 answer
@@ -55,10 +56,7 @@ from itertools import count
 
 import numpy as np
 
-from repro.control.admission_table import (
-    _delay_for_population_mix,
-    pinned_population_params,
-)
+from repro.control.admission_table import _delay_for_population_mix
 from repro.control.bandwidth import bandwidth_for_delay_target
 from repro.runtime import chaos
 from repro.runtime.resilience import DegradationChain, DegradationError
@@ -75,8 +73,8 @@ __all__ = [
     "start_server",
 ]
 
-#: Degradation-chain identity for the miss path; chaos poison keys are
-#: ``"admission-solve:qbd"`` / ``"admission-solve:solution2"``.
+#: Degradation-chain identity for the miss path; its one rung is
+#: ``solution2``, so the chaos poison key is ``"admission-solve:solution2"``.
 SOLVE_CHAIN = "admission-solve"
 
 #: Largest row count one ``admit_batch`` request may carry — bounds the
@@ -218,12 +216,7 @@ def _chaos_pause(request_index: int) -> None:
 
 
 def _solve_admit_miss(
-    surfaces: DecisionSurfaces,
-    n1: float,
-    n2: float,
-    exact: bool,
-    warm_state: dict,
-    request_index: int,
+    surfaces: DecisionSurfaces, n1: float, n2: float, request_index: int
 ):
     """Worker-pool body for a tier-3 admit: returns (delay, diagnostics).
 
@@ -233,45 +226,13 @@ def _solve_admit_miss(
     poisoned-rung registry before each rung.
     """
     _chaos_pause(request_index)
-    params = surfaces.params
-    service_rate = surfaces.service_rate
-
-    def qbd_rung() -> float:
-        from repro.core.solution0 import solve_solution0
-
-        pinned = pinned_population_params(params, (n1, n2))
-        if pinned is None:
-            return 0.0
-        warm = warm_state.get("rate_matrix")
-        try:
-            result = solve_solution0(
-                params=pinned,
-                service_rate=service_rate,
-                backend="qbd",
-                qbd_initial_rate_matrix=warm,
-            )
-        except ValueError:
-            if warm is None:
-                raise
-            # A warm R from a differently-shaped phase space (the auto
-            # modulating bounds track the pinned mix) is rejected with a
-            # ValueError; drop it and solve cold.
-            warm_state.pop("rate_matrix", None)
-            result = solve_solution0(
-                params=pinned, service_rate=service_rate, backend="qbd"
-            )
-        if result.rate_matrix is not None:
-            warm_state["rate_matrix"] = result.rate_matrix
-        return result.mean_delay
 
     def solution2_rung() -> float:
         return _delay_for_population_mix(
-            params, (float(n1), float(n2)), service_rate
+            surfaces.params, (float(n1), float(n2)), surfaces.service_rate
         )
 
-    rungs = [("qbd", qbd_rung)] if exact else []
-    rungs.append(("solution2", solution2_rung))
-    return DegradationChain(SOLVE_CHAIN, rungs).run()
+    return DegradationChain(SOLVE_CHAIN, [("solution2", solution2_rung)]).run()
 
 
 def _solve_bandwidth_miss(
@@ -322,11 +283,6 @@ class AdmissionService:
     solver_workers:
         Width of the reusable solve pool (threads; the solves are
         numpy/scipy-bound and release the GIL in their kernels).
-    exact:
-        Route tier-3 admits through the exact QBD ladder (warm-started
-        across misses via the cached HAP→MMPP mapping) before the
-        Solution-2 closed form.  Off by default: Solution 2 is the paper's
-        recommended control-plane solver in its validity region.
     counters_mirror:
         Optional sink receiving every counter increment as
         ``mirror.add(name, k)`` — how a sharded worker publishes its
@@ -342,7 +298,6 @@ class AdmissionService:
         surfaces: DecisionSurfaces,
         solve_timeout: float = 10.0,
         solver_workers: int = 1,
-        exact: bool = False,
         counters_mirror=None,
         overload: OverloadPolicy | None = None,
     ):
@@ -355,12 +310,10 @@ class AdmissionService:
         #: bump it via :meth:`set_surfaces` and every answer reports it.
         self.generation = 0
         self.solve_timeout = float(solve_timeout)
-        self.exact = bool(exact)
         self.overload = overload if overload is not None else OverloadPolicy()
         self._pool = ThreadPoolExecutor(
             max_workers=solver_workers, thread_name_prefix="repro-solve"
         )
-        self._qbd_warm: dict = {}
         self._request_index = count()
         self._mirror = counters_mirror
         #: Requests currently parked on the live-solve path — the bounded
@@ -398,10 +351,8 @@ class AdmissionService:
 
         Runs synchronously on the event loop (no await points), and every
         decision method captures ``(surfaces, generation)`` once at entry,
-        so no in-flight answer ever mixes generations.  The QBD warm-start
-        cache is dropped — it belongs to the outgoing parameters.
+        so no in-flight answer ever mixes generations.
         """
-        self._qbd_warm.clear()
         self.surfaces = surfaces
         self.generation = int(generation)
 
@@ -487,7 +438,7 @@ class AdmissionService:
         else:
             tier, estimate, detail = await self._live_solve(
                 _solve_admit_miss,
-                (surfaces, n1, n2, self.exact, self._qbd_warm),
+                (surfaces, n1, n2),
                 deadline_s,
                 started,
                 "conservative deny",

@@ -372,7 +372,6 @@ class ShardConfig:
     counters_name: str
     solve_timeout: float = 10.0
     solver_workers: int = 1
-    exact: bool = False
     chaos_plan: object | None = None
     overload: OverloadPolicy | None = None
     control: object | None = None
@@ -472,7 +471,6 @@ def _shard_main(config: ShardConfig, ready) -> None:
         shared.surfaces,
         solve_timeout=config.solve_timeout,
         solver_workers=config.solver_workers,
-        exact=config.exact,
         counters_mirror=counters.mirror(config.shard_index),
         overload=config.overload,
     )
@@ -525,7 +523,6 @@ class ShardFleet:
         port: int = 0,
         solve_timeout: float = 10.0,
         solver_workers: int = 1,
-        exact: bool = False,
         chaos_plan=None,
         respawn_policy: RetryPolicy = DEFAULT_RESPAWN_POLICY,
         overload: OverloadPolicy | None = None,
@@ -542,7 +539,6 @@ class ShardFleet:
         self._requested_port = port
         self.solve_timeout = float(solve_timeout)
         self.solver_workers = int(solver_workers)
-        self.exact = bool(exact)
         self.chaos_plan = chaos_plan
         self.respawn_policy = respawn_policy
         self.overload = overload
@@ -578,7 +574,6 @@ class ShardFleet:
             counters_name=self.counters.name,
             solve_timeout=self.solve_timeout,
             solver_workers=self.solver_workers,
-            exact=self.exact,
             chaos_plan=self.chaos_plan,
             overload=self.overload,
             control=control,

@@ -24,10 +24,7 @@ from repro.markov.spectral import (
     KrylovKernel,
     SpectralKernel,
     UniformizedKernel,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 
 
@@ -219,40 +216,9 @@ class TestBackendRegistry:
     def test_auto_with_unknown_size_stays_dense(self):
         assert resolve_backend("auto", num_states=None) == "dense"
 
-    def test_none_resolves_via_process_default(self):
-        previous = set_default_backend("krylov")
-        try:
-            assert resolve_backend(None, num_states=2) == "krylov"
-        finally:
-            set_default_backend(previous)
-
-    def test_set_default_returns_previous(self):
-        first = set_default_backend("dense")
-        try:
-            assert set_default_backend("auto") == "dense"
-        finally:
-            set_default_backend(first)
-
-    def test_use_backend_scopes_and_restores(self):
-        before = get_default_backend()
-        with use_backend("krylov"):
-            assert get_default_backend() == "krylov"
-        assert get_default_backend() == before
-
-    def test_use_backend_none_is_a_no_op(self):
-        before = get_default_backend()
-        with use_backend(None):
-            assert get_default_backend() == before
-        assert get_default_backend() == before
-
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown analytic backend"):
             resolve_backend("pade")
-        with pytest.raises(ValueError, match="unknown analytic backend"):
-            set_default_backend("pade")
-        with pytest.raises(ValueError, match="unknown analytic backend"):
-            with use_backend("pade"):
-                pass  # pragma: no cover
 
 
 class TestDenseKrylovEquivalence:
@@ -367,6 +333,33 @@ class TestSpectralVsExpmEquivalence:
             mmpp.exact_interarrival_density(np.array([0.1]), method="pade")
         with pytest.raises(ValueError, match="unknown"):
             mmpp.rate_autocovariance(np.array([1.0]), method="pade")
+
+
+class TestGridArguments:
+    """A call answers the same on either side of ``AUTO_DENSE_LIMIT``:
+    negative times are an error under both backends (the dense propagator
+    would otherwise step backwards through ``expm(M h)``)."""
+
+    @pytest.mark.parametrize("backend", ["dense", "krylov"])
+    @pytest.mark.parametrize(
+        "quantity",
+        [
+            "exact_interarrival_density",
+            "exact_interarrival_cdf",
+            "rate_autocovariance",
+        ],
+    )
+    def test_negative_times_rejected(self, quantity, backend):
+        mmpp = _figure_mmpp(fig9_parameters())
+        with pytest.raises(ValueError, match="must be non-negative"):
+            getattr(mmpp, quantity)(np.array([-0.1, 0.0, 0.1]), backend=backend)
+
+    @pytest.mark.parametrize("quad_points", [0, 1])
+    def test_index_of_dispersion_needs_two_nodes(self, quad_points):
+        # One node integrates to zero: IDC 1.0, the Poisson value, for any chain.
+        mmpp = _figure_mmpp(fig9_parameters())
+        with pytest.raises(ValueError, match="quad_points must be at least 2"):
+            mmpp.index_of_dispersion(10.0, quad_points=quad_points)
 
 
 # --------------------------------------------------------------------------

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
 import pytest
 
-from repro.markov.spectral import get_default_backend
-from repro.runtime.analytic import grid_map, run_analytic_sweep
+from repro.runtime.analytic import run_analytic_sweep
 from repro.runtime.executor import ReplicationError
 
 
@@ -16,22 +14,8 @@ def _square(x: float) -> float:
     return x * x
 
 
-def _observed_backend() -> str:
-    """What the analytic kernels would see inside this worker."""
-    return get_default_backend()
-
-
-def _observed_backend_grid(grid: np.ndarray) -> np.ndarray:
-    value = {"dense": 1.0, "krylov": 2.0, "auto": 0.0}[get_default_backend()]
-    return np.full(grid.shape, value)
-
-
 def _boom() -> float:
     raise RuntimeError("analytic task exploded")
-
-
-def _poly(grid: np.ndarray) -> np.ndarray:
-    return 2.0 * grid + 1.0
 
 
 class TestRunAnalyticSweep:
@@ -45,49 +29,3 @@ class TestRunAnalyticSweep:
 
     def test_empty_task_list(self):
         assert run_analytic_sweep([], max_workers=1) == []
-
-
-class TestBackendThreading:
-    """The analytic backend must ride on the task itself: a process-level
-    default set in the parent does not survive pickling into pool workers,
-    so ``run_analytic_sweep(..., backend=...)`` re-applies it per task."""
-
-    def test_backend_reaches_every_task(self):
-        tasks = [(f"task-{i}", _observed_backend) for i in range(4)]
-        observed = run_analytic_sweep(tasks, max_workers=2, backend="krylov")
-        assert observed == ["krylov"] * 4
-
-    def test_no_backend_leaves_default_untouched(self):
-        tasks = [("task", _observed_backend)]
-        assert run_analytic_sweep(tasks, max_workers=1) == [
-            get_default_backend()
-        ]
-
-    def test_grid_map_forwards_backend(self):
-        grid = np.linspace(0.0, 1.0, 7)
-        np.testing.assert_allclose(
-            grid_map(
-                _observed_backend_grid, grid, max_workers=2, backend="dense"
-            ),
-            np.ones(7),
-        )
-
-
-class TestGridMap:
-    def test_matches_direct_evaluation(self):
-        grid = np.linspace(0.0, 1.0, 37)
-        np.testing.assert_allclose(
-            grid_map(_poly, grid, max_workers=1), _poly(grid)
-        )
-
-    def test_chunking_preserves_order(self):
-        grid = np.linspace(-2.0, 2.0, 23)
-        for chunks in (1, 4, 23, 50):
-            np.testing.assert_allclose(
-                grid_map(_poly, grid, num_chunks=chunks, max_workers=1),
-                _poly(grid),
-            )
-
-    def test_empty_grid(self):
-        result = grid_map(_poly, np.array([]), max_workers=1)
-        assert result.size == 0

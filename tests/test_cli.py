@@ -135,56 +135,39 @@ class TestSimulate:
         assert first == second
 
 
-class TestBackendOption:
-    def test_default_is_auto(self):
-        for command in ("analyze", "simulate"):
-            args = build_parser().parse_args([command])
-            assert args.backend == "auto"
+#: Each subcommand with the arguments it requires.
+SUBCOMMANDS = {
+    "analyze": [],
+    "simulate": [],
+    "size": ["--delay-target", "1"],
+    "build-surfaces": ["--output", "surfaces.json"],
+    "serve": [],
+    "bench-serve": [],
+    "chaos": [],
+}
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--backend", "pade"])
 
-    def test_size_has_no_backend(self):
-        # Sizing is closed-form only; no analytic kernels to select.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["size", "--delay-target", "1", "--backend", "dense"]
-            )
+class TestRemovedFlags:
+    """``--backend`` (on every subcommand) and ``serve --exact`` are gone:
+    argparse refuses them with a usage error instead of ignoring them.
+    ``analyze --exact`` is a different flag and stays
+    (``TestAnalyze::test_exact_flag_adds_solution0``)."""
 
-    def test_analyze_backends_agree(self):
-        # The SMALL chain sits under the auto threshold, so auto == dense;
-        # forcing krylov must leave every reported number unchanged.
-        _, auto_text = run_cli(["analyze", *SMALL])
-        code, dense_text = run_cli(["analyze", *SMALL, "--backend", "dense"])
-        assert code == 0
-        assert dense_text == auto_text
-        code, krylov_text = run_cli(
-            ["analyze", *SMALL, "--backend", "krylov"]
-        )
-        assert code == 0
-        assert krylov_text.splitlines()[0] == auto_text.splitlines()[0]
-
-    def test_simulate_accepts_backend(self):
-        base = ["simulate", *SMALL, "--horizon", "800", "--seed", "4"]
-        code, forced = run_cli([*base, "--backend", "krylov"])
-        assert code == 0
-        assert "mean delay" in forced
-        # The backend selects analytic kernels, not simulation logic:
-        # the sample path must be bit-identical across backends.
-        _, default = run_cli(base)
-        assert forced == default
-
-    def test_campaign_accepts_backend(self):
-        code, text = run_cli(
-            [
-                "simulate", *SMALL, "--horizon", "600", "--seed", "2",
-                "--replications", "2", "--workers", "1",
-                "--backend", "krylov",
-            ]
-        )
-        assert code == 0
-        assert "95% CI" in text
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [name, *required, "--backend", "dense"]
+            for name, required in SUBCOMMANDS.items()
+        ]
+        + [["serve", "--exact"]],
+        ids=[f"{name}-backend" for name in SUBCOMMANDS] + ["serve-exact"],
+    )
+    def test_refused_with_usage_error(self, argv, capsys):
+        flag = next(arg for arg in argv if arg in ("--backend", "--exact"))
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(argv)
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestSize:

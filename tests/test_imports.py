@@ -22,6 +22,7 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 #: Modules no headline-campaign process needs.
 DEFERRED = (
@@ -170,3 +171,27 @@ class TestLazyExports:
             "simulate_mmpp_columnar_batch",
             "simulate_poisson_columnar_batch",
         } <= set(listed)
+
+
+class TestExamples:
+    def test_every_example_imports(self):
+        # Loaded under a non-``__main__`` name, so only the imports and
+        # module-level definitions run: an example that imports a removed
+        # public name fails here.
+        loaded = run_fresh(
+            f"""
+            import importlib.util, json
+            from pathlib import Path
+
+            loaded = []
+            for path in sorted(Path({str(EXAMPLES)!r}).glob("*.py")):
+                spec = importlib.util.spec_from_file_location(
+                    "example_" + path.stem, path
+                )
+                spec.loader.exec_module(importlib.util.module_from_spec(spec))
+                loaded.append(path.name)
+            print(json.dumps(loaded))
+            """
+        )
+        assert loaded
+        assert loaded == sorted(path.name for path in EXAMPLES.glob("*.py"))
