@@ -140,6 +140,14 @@ def _as_dense(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=float)
 
 
+def _grid_times(times) -> np.ndarray:
+    """``times`` as a 1-D float array; every kernel refuses negative times."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise ValueError("times must be non-negative")
+    return times
+
+
 class SpectralKernel:
     """Evaluate ``left @ expm(M t) @ right`` over time grids from one factorization.
 
@@ -248,7 +256,7 @@ class SpectralKernel:
         """``left @ expm(M t) @ right`` for every ``t`` in ``times``."""
         left = np.asarray(left, dtype=float)
         right = np.asarray(right, dtype=float)
-        times = np.atleast_1d(np.asarray(times, dtype=float))
+        times = _grid_times(times)
         if self.method == "eig":
             coefficients = (left @ self._vectors) * (self._vectors_inv @ right)
             values = np.exp(np.multiply.outer(times, self._eigenvalues)) @ coefficients
@@ -403,7 +411,7 @@ class GridPropagator:
         """``left @ expm(M t) @ right`` for every ``t`` of an evenly spaced grid."""
         left = np.asarray(left, dtype=float)
         right = np.asarray(right, dtype=float)
-        times = np.atleast_1d(np.asarray(times, dtype=float))
+        times = _grid_times(times)
         step = uniform_step(times)
         if step is None:
             raise ValueError(
@@ -483,9 +491,7 @@ class KrylovKernel:
         """``left @ expm(M t) @ right`` for every ``t`` in ``times``."""
         left = np.asarray(left, dtype=float)
         right = np.asarray(right, dtype=float)
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times < 0):
-            raise ValueError("times must be non-negative")
+        times = _grid_times(times)
         values = np.empty(times.shape)
         if times.size == 0:
             return values
@@ -558,9 +564,7 @@ class UniformizedKernel:
         """``left @ expm(Q t) @ right`` for every ``t`` in ``times``."""
         left = np.asarray(left, dtype=float)
         right = np.asarray(right, dtype=float)
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times < 0):
-            raise ValueError("times must be non-negative")
+        times = _grid_times(times)
         static = float(left @ right)
         if self.rate == 0.0 or times.size == 0:
             return np.full(times.shape, static)

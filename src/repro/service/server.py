@@ -281,8 +281,9 @@ class AdmissionService:
         not the worker thread (a stuck thread keeps its pool slot until it
         returns — size ``solver_workers`` accordingly).
     solver_workers:
-        Width of the reusable solve pool (threads; the solves are
-        numpy/scipy-bound and release the GIL in their kernels).
+        Width of the reusable solve pool (threads; a solve's quadrature
+        runs in numpy, which releases the GIL in its kernels, and no solve
+        imports scipy).
     counters_mirror:
         Optional sink receiving every counter increment as
         ``mirror.add(name, k)`` — how a sharded worker publishes its

@@ -21,6 +21,7 @@ from repro.core.params import ApplicationType, HAPParameters, MessageType
 from repro.experiments.configs import base_parameters, fig9_parameters
 from repro.markov.spectral import (
     AUTO_DENSE_LIMIT,
+    GridPropagator,
     KrylovKernel,
     SpectralKernel,
     UniformizedKernel,
@@ -353,6 +354,18 @@ class TestGridArguments:
         mmpp = _figure_mmpp(fig9_parameters())
         with pytest.raises(ValueError, match="must be non-negative"):
             getattr(mmpp, quantity)(np.array([-0.1, 0.0, 0.1]), backend=backend)
+
+    @pytest.mark.parametrize(
+        "kernel", [SpectralKernel, GridPropagator, KrylovKernel, UniformizedKernel]
+    )
+    def test_every_kernel_rejects_negative_times(self, kernel):
+        # An evenly spaced grid, so the propagator cannot refuse it for its
+        # spacing instead.
+        generator = np.array([[-1.0, 1.0], [2.0, -2.0]])
+        with pytest.raises(ValueError, match="^times must be non-negative$"):
+            kernel(generator).bilinear(
+                np.ones(2), np.ones(2), np.array([-0.2, -0.1, 0.0])
+            )
 
     @pytest.mark.parametrize("quad_points", [0, 1])
     def test_index_of_dispersion_needs_two_nodes(self, quad_points):

@@ -1,6 +1,6 @@
 """Shared fixtures: one small decision surface reused across service tests.
 
-The surface build runs dozens of Solution-2 bisections; building it once
+The surface build runs dozens of Solution-2 solves; building it once
 per session (module-scoped fixtures would still rebuild per file) keeps the
 service suite in seconds.
 """

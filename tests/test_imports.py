@@ -1,10 +1,11 @@
 """Import-graph tests: a process loads only the modules its run touches.
 
-Package ``__init__`` files re-export lazily (``repro._lazy_exports``), and
-``scipy.optimize``, ``scipy.integrate``, ``scipy.special``, ``scipy.stats``
-and ``networkx`` are imported inside the functions that call them.  Every
-case runs in a fresh interpreter: by the time pytest runs a test, other
-tests have imported most modules, which hides both an eager import and an
+Package ``__init__`` files re-export lazily (``repro._lazy_exports``),
+``scipy.integrate``, ``scipy.special``, ``scipy.stats`` and ``networkx``
+are imported inside the functions that call them, and nothing imports
+``scipy.optimize``: an admission process loads no scipy.  Every case runs
+in a fresh interpreter: by the time pytest runs a test, other tests have
+imported most modules, which hides both an eager import and an
 import-order cycle.
 """
 
@@ -104,6 +105,53 @@ class TestLeanImports:
             """
         )
         assert [m for m in DEFERRED if m in loaded] == []
+
+
+class TestAdmissionWithoutScipy:
+    def test_surface_build_live_solves_and_crossings_load_no_scipy(self):
+        # Every sigma root and both bandwidth sizings run in-repo: an
+        # admission process never loads scipy, not even on a live miss.
+        loaded = loaded_after(
+            """
+            import asyncio
+
+            from repro.core.interarrival import (
+                InterarrivalDistribution,
+                density_intersections,
+            )
+            from repro.core.params import HAPParameters
+            from repro.experiments.configs import fig9_parameters
+            from repro.service.server import AdmissionService
+            from repro.service.surfaces import build_decision_surfaces
+
+            params = HAPParameters.symmetric(
+                user_arrival_rate=0.05,
+                user_departure_rate=0.05,
+                app_arrival_rate=0.05,
+                app_departure_rate=0.05,
+                message_arrival_rate=0.4,
+                message_service_rate=3.0,
+                num_app_types=2,
+                num_message_types=1,
+            )
+            surfaces = build_decision_surfaces(
+                params, (0.6, 0.9), max_population=2, max_workers=1
+            )
+
+            async def misses():
+                with AdmissionService(surfaces) as service:
+                    admit = await service.admit(1.0, 1.0, 2.0)
+                    width = await service.bandwidth(2.0)
+                return admit.tier, width.tier
+
+            assert asyncio.run(misses()) == ("solve", "solve")
+            crossings = density_intersections(
+                InterarrivalDistribution(fig9_parameters())
+            )
+            assert len(crossings) == 2
+            """
+        )
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 class TestLazyExports:
