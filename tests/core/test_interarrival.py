@@ -130,6 +130,17 @@ class TestMomentsAndTransform:
         with pytest.raises(ValueError):
             base_dist.laplace(-1.0)
 
+    def test_ccdf_laplace_is_the_transform_gap(self, base_dist):
+        """``∫ Abar(t) e^{-st} dt = (1 - A*(s)) / s``, tending to ``E[T]``."""
+        for s in (0.1, 1.0, 25.0):
+            assert base_dist.ccdf_laplace(s) == pytest.approx(
+                (1.0 - base_dist.laplace(s)) / s, rel=1e-12
+            )
+        assert base_dist.ccdf_laplace(0.0) == base_dist.mean()
+        assert base_dist.ccdf_laplace(1e-15) == pytest.approx(
+            base_dist.mean(), rel=1e-9
+        )
+
 
 class TestHelpers:
     def test_poisson_density_shape(self):
