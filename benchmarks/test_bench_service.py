@@ -16,8 +16,8 @@ The tiers are the service's whole point:
 
 Two rungs cover the PR-9 serving work:
 
-* **sharded cached** — an SO_REUSEPORT fleet mapping one shared-memory
-  surface; the >= 3x-BENCH_7 multi-core assert is skipped (with an
+* **sharded cached** — an SO_REUSEPORT fleet whose shards each boot from
+  the same JSON surface artifact; the >= 3x-BENCH_7 multi-core assert is skipped (with an
   explicit warning) on boxes without enough cores, but the figure is
   always recorded so the baseline gate can pin it where it was measured.
 * **batch cached** — the ``admit_batch`` verb amortizes protocol

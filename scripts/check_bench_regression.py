@@ -41,8 +41,8 @@ PR 2's issue).  The gates:
   columnar throughput).
 * ``service_sharded_cached_decisions`` — ``events_per_sec`` (higher),
   PR 9's SO_REUSEPORT fleet gate: cached decisions/sec across a
-  multi-shard fleet mapping one shared-memory surface (>= 3x BENCH_7's
-  single-process cached figure on a multi-core runner).
+  multi-shard fleet booted from one JSON surface artifact (>= 3x
+  BENCH_7's single-process cached figure on a multi-core runner).
 * ``service_batch_cached_decisions`` — ``events_per_sec`` (higher),
   PR 9's ``admit_batch`` verb gate: batched cached decisions/sec, which
   must stay strictly above the scalar cached rung even on one core.

@@ -274,13 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     build_surfaces.add_argument(
         "--output", type=str, required=True, help="artifact path to write"
     )
-    build_surfaces.add_argument(
-        "--binary",
-        action="store_true",
-        help="also write the .npz binary sidecar next to the JSON "
-        "artifact — shard fleets map it instead of re-parsing JSON "
-        "per process",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -702,10 +695,8 @@ def _surfaces_from_args(args: argparse.Namespace, out):
 def _command_build_surfaces(args: argparse.Namespace, out) -> int:
     from repro.control.admission_table import probe_stats
     from repro.service.surfaces import (
-        binary_sidecar_path,
         build_decision_surfaces,
         save_surfaces,
-        save_surfaces_binary,
         two_type_params,
     )
 
@@ -733,9 +724,6 @@ def _command_build_surfaces(args: argparse.Namespace, out) -> int:
             file=out,
         )
     print(f"artifact             : {path}", file=out)
-    if args.binary:
-        sidecar = save_surfaces_binary(surfaces, binary_sidecar_path(path))
-        print(f"binary sidecar       : {sidecar}", file=out)
     return 0
 
 

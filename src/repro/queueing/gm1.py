@@ -220,9 +220,10 @@ def brentq(
 def _sigma_brent(laplace: LaplaceFn, service_rate: float, tol: float) -> float:
     """Bracketed Brent solve of ``A*(mu(1 - s)) - s = 0`` on (0, 1).
 
-    ``s = 1`` is always a root; stability puts a second root strictly inside
-    (0, 1).  We bracket away from 1 by walking left until the residual
-    changes sign.
+    ``s = 1`` is always a root; a second root lies strictly inside (0, 1)
+    exactly when ``mu * E[T] > 1``, with ``E[T]`` the mean of the
+    interarrival distribution ``A``.  We bracket away from 1 by walking
+    left until the residual changes sign.
     """
 
     def residual(s: float) -> float:
@@ -239,8 +240,10 @@ def _sigma_brent(laplace: LaplaceFn, service_rate: float, tol: float) -> float:
         probe = 1.0 - 2.0 * (1.0 - probe)
         if probe <= left:
             raise ValueError(
-                "no interior sigma root: the queue appears unstable "
-                "(mean arrival rate >= service rate)"
+                "no interior sigma root: mu * E[T] <= 1, where E[T] is the "
+                "mean interarrival time of the distribution (its rate "
+                "1/E[T] can reach mu even when the mean arrival rate is "
+                "below mu)"
             )
     return brentq(residual, left, probe, xtol=tol)
 

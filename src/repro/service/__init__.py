@@ -20,9 +20,10 @@ answers each connection request with a table lookup at the interface.
   and pipelined-batch verbs) and the closed-loop load generator behind
   ``cli bench-serve``.
 * :mod:`repro.service.sharded` — the multi-core fleet: ``SO_REUSEPORT``
-  shard processes behind one address, zero-copy shared-memory surface
-  grids, shared per-tier counter table, and a supervisor that respawns
-  crashed shards on the :mod:`repro.runtime.resilience` backoff schedule.
+  shard processes behind one address, each booted and hot-reloaded from
+  the same JSON artifact text, a shared-memory per-tier counter table,
+  and a supervisor that respawns crashed shards on the
+  :mod:`repro.runtime.resilience` backoff schedule.
 """
 
 from repro import _lazy_exports
@@ -38,14 +39,13 @@ __all__ = _lazy_exports(
             "Decision",
             "start_server",
         ),
-        ".sharded": ("FleetCounters", "ShardFleet", "SharedSurfaces"),
+        ".sharded": ("FleetCounters", "ShardFleet"),
         ".surfaces": (
             "SURFACE_SCHEMA",
             "DecisionSurfaces",
             "build_decision_surfaces",
             "load_surfaces",
             "save_surfaces",
-            "save_surfaces_binary",
         ),
     },
 )

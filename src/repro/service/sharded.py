@@ -14,13 +14,12 @@ same service horizontally with three pieces:
   ephemeral ``port=0`` pick and keeps the address stable while shards die
   and respawn around it.
 
-* **Zero-copy shared surfaces** — the supervisor publishes the
-  ``delay_targets`` / ``max_n2`` / ``bandwidth`` grids once into a
-  :mod:`multiprocessing.shared_memory` block (:class:`SharedSurfaces`);
-  every shard maps the block and wraps numpy views around it instead of
-  re-parsing the JSON artifact per process.  The versioned-schema refusal
-  contract travels with the descriptor: a shard refuses to attach a
-  segment published for a different schema.
+* **One surface artifact** — the supervisor hands every shard the
+  versioned JSON artifact text (:meth:`DecisionSurfaces.to_json`), and the
+  shard decodes it with :meth:`DecisionSurfaces.from_json`: the same
+  decoder and stale-schema refusal that
+  :func:`~repro.service.surfaces.load_surfaces` applies to a file, at boot,
+  respawn, restart and hot reload alike.
 
 * **Shared fleet counters** — per-tier counters live in one int64
   shared-memory table, one row per shard (single writer per row, no
@@ -43,17 +42,15 @@ intentional (no respawn), so :meth:`ShardFleet.drain_shard` /
 :meth:`ShardFleet.rolling_restart` can cycle the fleet one shard at a
 time without ever losing an accepted request or all capacity at once.
 A per-shard control pipe carries hot surface reloads: the supervisor
-publishes a new :class:`SharedSurfaces` generation, every shard attaches
-(schema-refused on mismatch, exactly like the JSON loader) and flips its
-service atomically between requests, and only after all shards ack does
-the supervisor unlink the old generation's segment (POSIX keeps mapped
-pages alive for any solve still reading them).
+sends the new artifact text, every shard decodes it (schema-refused on
+mismatch, exactly like a file) and flips its service atomically between
+requests, and the supervisor adopts the new generation only once every
+shard has acked.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import os
 import secrets
@@ -69,20 +66,13 @@ import numpy as np
 from repro.runtime import chaos
 from repro.runtime.resilience import RetryPolicy
 from repro.service.server import AdmissionService, OverloadPolicy, start_server
-from repro.service.surfaces import (
-    SURFACE_SCHEMA,
-    DecisionSurfaces,
-    _params_from_dict,
-    _params_to_dict,
-)
+from repro.service.surfaces import DecisionSurfaces
 
 __all__ = [
     "COUNTER_FIELDS",
     "FleetCounters",
     "ShardConfig",
     "ShardFleet",
-    "SharedSurfaces",
-    "SurfaceDescriptor",
 ]
 
 #: Counter table columns, in storage order (must cover every key the
@@ -116,142 +106,14 @@ DEFAULT_RESPAWN_POLICY = RetryPolicy(
 def _attach(name: str) -> shared_memory.SharedMemory:
     """Attach without registering in the resource tracker (3.13+).
 
-    Same idiom as :mod:`repro.runtime.columnar`: the publisher owns
-    unlinking; attachers that also register the segment race it at
-    interpreter exit and spew spurious warnings.
+    The publishing supervisor owns unlinking; a shard that also
+    registered the segment would race it at interpreter exit and spew
+    spurious resource-tracker warnings.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # pragma: no cover — Python < 3.13
         return shared_memory.SharedMemory(name=name)
-
-
-# ----------------------------------------------------------------------
-# Zero-copy surface transport
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SurfaceDescriptor:
-    """Picklable handle a shard needs to map the published surfaces.
-
-    Carries the scalar/metadata half of the artifact in-line (params as a
-    JSON blob, service rate, schema string) and points at the shared
-    segment for the grids.  The ``schema`` field keeps the versioned
-    refusal contract across the shared-memory transport: attach refuses a
-    descriptor stamped for a different layout exactly as
-    :func:`~repro.service.surfaces.load_surfaces` refuses a stale file.
-    """
-
-    shm_name: str
-    schema: str
-    params_json: str
-    service_rate: float
-    targets: int
-    populations: int
-    #: Monotonic reload generation; 0 is the boot artifact, each hot
-    #: reload publishes the next number and every answer reports which
-    #: generation produced it.
-    generation: int = 0
-
-
-def _grid_floats(targets: int, populations: int) -> int:
-    """Total float64 slots: delay_targets + bandwidth + max_n2."""
-    return targets * (populations + 2)
-
-
-class SharedSurfaces:
-    """One shared-memory copy of the decision grids, mapped by every shard.
-
-    ``publish`` (supervisor side) copies the grids into a fresh segment
-    and owns its lifetime; ``attach`` (shard side) wraps zero-copy numpy
-    views around the same pages.  The attached
-    :class:`~repro.service.surfaces.DecisionSurfaces` is plugged straight
-    into an :class:`~repro.service.server.AdmissionService` — the service
-    only ever reads the grids.
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        descriptor: SurfaceDescriptor,
-        surfaces: DecisionSurfaces,
-        owner: bool,
-    ):
-        self._shm = shm
-        self.descriptor = descriptor
-        self.surfaces = surfaces
-        self._owner = owner
-
-    @classmethod
-    def publish(
-        cls, surfaces: DecisionSurfaces, generation: int = 0
-    ) -> "SharedSurfaces":
-        """Copy ``surfaces``' grids into a new shared segment (supervisor).
-
-        ``generation`` stamps the descriptor so shards and answers can
-        name which reload produced them.
-        """
-        targets = len(surfaces.delay_targets)
-        populations = surfaces.max_population + 1
-        shm = shared_memory.SharedMemory(
-            create=True,
-            size=_grid_floats(targets, populations) * 8,
-            name=f"repro-surface-{secrets.token_hex(4)}",
-        )
-        block = np.ndarray(
-            (_grid_floats(targets, populations),), dtype=np.float64, buffer=shm.buf
-        )
-        block[:targets] = np.asarray(surfaces.delay_targets, dtype=float)
-        block[targets : 2 * targets] = np.asarray(surfaces.bandwidth, dtype=float)
-        block[2 * targets :] = np.asarray(
-            surfaces.max_n2, dtype=float
-        ).reshape(-1)
-        descriptor = SurfaceDescriptor(
-            shm_name=shm.name,
-            schema=SURFACE_SCHEMA,
-            params_json=json.dumps(_params_to_dict(surfaces.params)),
-            service_rate=float(surfaces.service_rate),
-            targets=targets,
-            populations=populations,
-            generation=int(generation),
-        )
-        return cls(shm, descriptor, surfaces, owner=True)
-
-    @classmethod
-    def attach(cls, descriptor: SurfaceDescriptor) -> "SharedSurfaces":
-        """Map the published grids (shard side), refusing stale schemas."""
-        if descriptor.schema != SURFACE_SCHEMA:
-            raise ValueError(
-                f"unsupported surface schema {descriptor.schema!r} in shared "
-                f"segment {descriptor.shm_name} (expected {SURFACE_SCHEMA}); "
-                "restart the fleet from a rebuilt artifact"
-            )
-        shm = _attach(descriptor.shm_name)
-        targets = descriptor.targets
-        populations = descriptor.populations
-        block = np.ndarray(
-            (_grid_floats(targets, populations),), dtype=np.float64, buffer=shm.buf
-        )
-        surfaces = DecisionSurfaces(
-            params=_params_from_dict(json.loads(descriptor.params_json)),
-            service_rate=descriptor.service_rate,
-            delay_targets=block[:targets],
-            max_n2=block[2 * targets :].reshape(targets, populations),
-            bandwidth=block[targets : 2 * targets],
-        )
-        surfaces._validate()
-        return cls(shm, descriptor, surfaces, owner=False)
-
-    def close(self) -> None:
-        """Drop this mapping (the owner also unlinks the segment)."""
-        # The surfaces' arrays are views into shm.buf; drop them first so
-        # close() does not fail with exported-pointer errors.
-        self.surfaces = None
-        try:
-            self._shm.close()
-            if self._owner:
-                self._shm.unlink()
-        except (FileNotFoundError, BufferError):  # pragma: no cover
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +221,9 @@ class FleetCounters:
 class ShardConfig:
     """Everything a spawned shard needs, picklable for the spawn context.
 
-    ``control`` is the shard's end of a duplex :func:`multiprocessing.Pipe`
+    ``artifact`` is the surfaces' JSON artifact text and ``generation`` the
+    reload generation it belongs to (0 is the boot artifact).  ``control``
+    is the shard's end of a duplex :func:`multiprocessing.Pipe`
     (connections pickle across ``spawn`` via fd passing); the supervisor
     sends hot-reload messages down it and reads the acks back.
     """
@@ -368,7 +232,8 @@ class ShardConfig:
     shards: int
     host: str
     port: int
-    surface: SurfaceDescriptor
+    artifact: str
+    generation: int
     counters_name: str
     solve_timeout: float = 10.0
     solver_workers: int = 1
@@ -378,34 +243,31 @@ class ShardConfig:
     drain_grace: float = 30.0
 
 
-def _handle_control(service: AdmissionService, control, message, attachments) -> None:
+def _handle_control(service: AdmissionService, control, message) -> None:
     """Service one supervisor control message inside the shard.
 
-    ``("reload", descriptor, generation)`` attaches the new shared
-    generation (refusing a stale schema exactly like boot attach does) and
-    flips the service atomically between requests; the ack —
+    ``("reload", artifact, generation)`` decodes the new artifact text
+    (refusing a stale schema or a malformed grid exactly like boot does)
+    and flips the service atomically between requests; the ack —
     ``("ok", generation)`` or ``("error", reason)`` — goes back up the
-    pipe.  ``attachments`` pins every mapped generation for the process
-    lifetime so numpy views held by in-flight solves never lose their
-    pages.
+    pipe.
     """
     kind = message[0]
     if kind == "reload":
-        _, descriptor, generation = message
+        _, artifact, generation = message
         try:
-            attached = SharedSurfaces.attach(descriptor)
-        except (ValueError, FileNotFoundError) as error:
+            surfaces = DecisionSurfaces.from_json(artifact)
+        except ValueError as error:
             control.send(("error", str(error)))
             return
-        attachments.append(attached)
-        service.set_surfaces(attached.surfaces, generation)
+        service.set_surfaces(surfaces, generation)
         control.send(("ok", generation))
     else:
         control.send(("error", f"unknown control verb {kind!r}"))
 
 
 async def _shard_serve(
-    service: AdmissionService, config: ShardConfig, ready, attachments
+    service: AdmissionService, config: ShardConfig, ready
 ) -> None:
     """One shard's serve loop: accept until SIGTERM, then drain and exit.
 
@@ -436,7 +298,7 @@ async def _shard_serve(
     def on_control() -> None:
         try:
             while control.poll():
-                _handle_control(service, control, control.recv(), attachments)
+                _handle_control(service, control, control.recv())
         except (EOFError, OSError):
             # The supervisor closed its end (respawn or shutdown).
             loop.remove_reader(control.fileno())
@@ -465,20 +327,19 @@ def _shard_main(config: ShardConfig, ready) -> None:
     """Entry point of one shard process (module-level for spawn pickling)."""
     if config.chaos_plan is not None:
         chaos.activate(config.chaos_plan)
-    shared = SharedSurfaces.attach(config.surface)
+    surfaces = DecisionSurfaces.from_json(config.artifact)
     counters = FleetCounters.attach(config.counters_name, config.shards)
     service = AdmissionService(
-        shared.surfaces,
+        surfaces,
         solve_timeout=config.solve_timeout,
         solver_workers=config.solver_workers,
         counters_mirror=counters.mirror(config.shard_index),
         overload=config.overload,
     )
-    service.generation = config.surface.generation
+    service.generation = config.generation
     service.fleet = counters.view(config.shard_index)
-    attachments = [shared]
     try:
-        asyncio.run(_shard_serve(service, config, ready, attachments))
+        asyncio.run(_shard_serve(service, config, ready))
     except KeyboardInterrupt:  # pragma: no cover — operator ^C
         pass
     finally:
@@ -543,9 +404,10 @@ class ShardFleet:
         self.respawn_policy = respawn_policy
         self.overload = overload
         self.drain_grace = float(drain_grace)
-        self._surfaces = surfaces
-        self._generation = 0
-        self._shared: SharedSurfaces | None = None
+        #: The artifact text every shard boots from and its generation,
+        #: always replaced together so a respawn racing a reload boots one
+        #: generation's grids under that same generation's number.
+        self._artifact: tuple[str, int] = (surfaces.to_json(), 0)
         self.counters: FleetCounters | None = None
         self._reservation: socket.socket | None = None
         self._slots: list[_ShardSlot] = []
@@ -565,12 +427,14 @@ class ShardFleet:
         return sock.getsockname()[1]
 
     def _config(self, shard_index: int, control) -> ShardConfig:
+        artifact, generation = self._artifact
         return ShardConfig(
             shard_index=shard_index,
             shards=self.shards,
             host=self.host,
             port=self.port,
-            surface=self._shared.descriptor,
+            artifact=artifact,
+            generation=generation,
             counters_name=self.counters.name,
             solve_timeout=self.solve_timeout,
             solver_workers=self.solver_workers,
@@ -594,11 +458,10 @@ class ShardFleet:
         return process, ready, parent_end
 
     def start(self, ready_timeout: float = 30.0) -> "ShardFleet":
-        """Publish shared state, spawn every shard, wait until all listen."""
+        """Publish the counters, spawn every shard, wait until all listen."""
         if self._slots:
             raise RuntimeError("fleet already started")
         self.port = self._reserve_port()
-        self._shared = SharedSurfaces.publish(self._surfaces, self._generation)
         self.counters = FleetCounters.publish(self.shards)
         try:
             for index in range(self.shards):
@@ -713,8 +576,8 @@ class ShardFleet:
     def restart_shard(self, shard_index: int, ready_timeout: float = 30.0) -> None:
         """Spawn a fresh process into a parked/dead slot; wait until it listens.
 
-        The replacement attaches the *current* surface generation (a drain
-        + restart after a hot reload comes back on the new surfaces) and
+        The replacement boots from the *current* artifact and generation (a
+        drain + restart after a hot reload comes back on the new surfaces) and
         its attempt counter resets — a deliberate restart is not a crash.
         """
         slot = self._slots[shard_index]
@@ -762,36 +625,24 @@ class ShardFleet:
     def reload_surfaces(
         self, surfaces: DecisionSurfaces, timeout: float = 30.0
     ) -> int:
-        """Publish a new surface generation and flip every shard to it.
+        """Send a new surface generation to every shard and flip the fleet.
 
-        The sequence is publish → broadcast → ack → unlink-old: the new
-        grids go into a fresh shared segment, every live shard attaches it
-        (schema-refused on mismatch, exactly like boot) and swaps its
-        service atomically between requests, and only after *all* shards
-        ack does the supervisor unlink the old generation — whose mapped
-        pages POSIX keeps alive for any in-flight solve still reading
-        them.  On any refusal or timeout the new segment is unlinked and
-        the fleet stays on the old generation (the schema check is
-        deterministic, so a refusal is unanimous — no shard flips).
-        Returns the new generation number.
+        Every live shard decodes the new artifact text (schema-refused on
+        a mismatch and malformed-refused on a broken grid, exactly like
+        boot) and swaps its service atomically between requests; once
+        *all* shards ack, the supervisor adopts the artifact, so later
+        respawns and restarts boot on it.  On any refusal or timeout the
+        fleet stays on the old generation (decoding is deterministic, so a
+        refusal is unanimous — no shard flips).  Returns the new
+        generation number.
         """
-        generation = self._generation + 1
-        shared = SharedSurfaces.publish(surfaces, generation)
-        try:
-            self._broadcast_reload(shared.descriptor, generation, timeout)
-        except BaseException:
-            shared.close()
-            raise
-        old = self._shared
-        self._shared = shared
-        self._surfaces = surfaces
-        self._generation = generation
-        if old is not None:
-            old.close()
+        artifact, generation = surfaces.to_json(), self.generation + 1
+        self._broadcast_reload(artifact, generation, timeout)
+        self._artifact = (artifact, generation)
         return generation
 
     def _broadcast_reload(
-        self, descriptor: SurfaceDescriptor, generation: int, timeout: float
+        self, artifact: str, generation: int, timeout: float
     ) -> None:
         """Send one reload to every live shard and collect every ack."""
         deadline = time.monotonic() + timeout
@@ -801,7 +652,7 @@ class ShardFleet:
             if slot.process.is_alive() and slot.control is not None
         ]
         for _, slot in live:
-            slot.control.send(("reload", descriptor, generation))
+            slot.control.send(("reload", artifact, generation))
         refusals = []
         for index, slot in live:
             remaining = max(deadline - time.monotonic(), 0.0)
@@ -819,7 +670,7 @@ class ShardFleet:
     @property
     def generation(self) -> int:
         """The surface generation the fleet is currently serving."""
-        return self._generation
+        return self._artifact[1]
 
     def stop(self) -> None:
         """Terminate every shard and release all shared state."""
@@ -841,9 +692,6 @@ class ShardFleet:
         if self.counters is not None:
             self.counters.close()
             self.counters = None
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
         if self._reservation is not None:
             self._reservation.close()
             self._reservation = None

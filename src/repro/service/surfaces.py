@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-import zipfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -54,11 +52,9 @@ __all__ = [
     "DecisionSurfaces",
     "SURFACE_SCHEMA",
     "SurfaceBound",
-    "binary_sidecar_path",
     "build_decision_surfaces",
     "load_surfaces",
     "save_surfaces",
-    "save_surfaces_binary",
     "two_type_params",
 ]
 
@@ -221,7 +217,7 @@ class DecisionSurfaces:
         """The grids as Python lists: targets, ``max_n2`` rows, bandwidth.
 
         Built on first lookup, once per instance (a hot reload's surfaces
-        and each shard's shared-memory view build their own).  The lookups
+        and each shard's decoded artifact build their own).  The lookups
         read these rather than the arrays: the same float64 values and the
         same arithmetic, without numpy's per-scalar call overhead.
         """
@@ -323,19 +319,21 @@ class DecisionSurfaces:
         return json.dumps(document, indent=indent)
 
     @classmethod
-    def from_json(cls, text: str) -> "DecisionSurfaces":
+    def from_json(cls, text: str | bytes) -> "DecisionSurfaces":
         """Load a :meth:`to_json` artifact, refusing stale schemas.
 
         Raises
         ------
         ValueError
-            On invalid JSON or a missing/unknown ``schema`` field — a
-            service must never boot on a surface laid out for a different
-            code version (a misread boundary silently admits bad traffic).
+            On invalid JSON, a missing/unknown ``schema`` field, or a
+            schema-tagged document whose fields are missing or misshapen —
+            a service must never boot on a surface laid out for a
+            different code version (a misread boundary silently admits bad
+            traffic).
         """
         try:
             document = json.loads(text)
-        except json.JSONDecodeError as error:
+        except ValueError as error:
             raise ValueError(f"surface artifact is not valid JSON: {error}")
         schema = document.get("schema") if isinstance(document, dict) else None
         if schema != SURFACE_SCHEMA:
@@ -343,19 +341,23 @@ class DecisionSurfaces:
                 f"unsupported surface schema {schema!r} (expected "
                 f"{SURFACE_SCHEMA}); rebuild with `cli build-surfaces`"
             )
-        bandwidth = np.asarray(
-            [
-                math.inf if value is None else float(value)
-                for value in document["bandwidth"]
-            ]
-        )
-        surfaces = cls(
-            params=_params_from_dict(document["params"]),
-            service_rate=float(document["service_rate"]),
-            delay_targets=np.asarray(document["delay_targets"], dtype=float),
-            max_n2=np.asarray(document["max_n2"], dtype=float),
-            bandwidth=bandwidth,
-        )
+        try:
+            surfaces = cls(
+                params=_params_from_dict(document["params"]),
+                service_rate=float(document["service_rate"]),
+                delay_targets=np.asarray(document["delay_targets"], dtype=float),
+                max_n2=np.asarray(document["max_n2"], dtype=float),
+                bandwidth=np.asarray(
+                    [
+                        math.inf if value is None else float(value)
+                        for value in document["bandwidth"]
+                    ]
+                ),
+            )
+        except (KeyError, IndexError, TypeError) as error:
+            raise ValueError(
+                f"surface artifact is malformed: {type(error).__name__}: {error}"
+            ) from error
         surfaces._validate()
         return surfaces
 
@@ -363,10 +365,18 @@ class DecisionSurfaces:
         targets = self.delay_targets
         if targets.ndim != 1 or len(targets) < 1:
             raise ValueError("surface needs at least one delay target")
-        if np.any(np.diff(targets) <= 0):
-            raise ValueError("delay targets must be strictly increasing")
-        if self.max_n2.shape != (len(targets), self.max_n2.shape[1]):
-            raise ValueError("max_n2 rows must match the delay-target grid")
+        if not (
+            np.all(np.isfinite(targets))
+            and targets[0] > 0
+            and np.all(np.diff(targets) > 0)
+        ):
+            raise ValueError(
+                "delay targets must be finite, positive and strictly increasing"
+            )
+        if self.max_n2.ndim != 2 or len(self.max_n2) != len(targets):
+            raise ValueError(
+                "max_n2 must be a 2-D grid with one row per delay target"
+            )
         if self.bandwidth.shape != (len(targets),):
             raise ValueError("bandwidth must carry one value per target")
 
@@ -482,113 +492,6 @@ def save_surfaces(surfaces: DecisionSurfaces, path: str | Path) -> Path:
     return path
 
 
-def binary_sidecar_path(path: str | Path) -> Path:
-    """The ``.npz`` sidecar next to a JSON artifact (``foo.json`` → ``foo.npz``)."""
-    return Path(path).with_suffix(".npz")
-
-
-def save_surfaces_binary(surfaces: DecisionSurfaces, path: str | Path) -> Path:
-    """Write the binary ``.npz`` sidecar of the artifact.
-
-    Grids are stored as raw float64 arrays (bit-identical to the in-memory
-    surfaces, unlike the JSON round-trip which is only value-identical
-    through ``repr``), the parameter set as a JSON blob, and the same
-    versioned schema string the JSON artifact carries — the refusal
-    contract applies to both transports.  A fleet boot memory-maps this
-    file (or the shared-memory segment built from it) instead of parsing
-    JSON once per shard.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        schema=np.array(SURFACE_SCHEMA),
-        params_json=np.array(json.dumps(_params_to_dict(surfaces.params))),
-        service_rate=np.array(surfaces.service_rate, dtype=float),
-        delay_targets=np.asarray(surfaces.delay_targets, dtype=float),
-        max_n2=np.asarray(surfaces.max_n2, dtype=float),
-        bandwidth=np.asarray(surfaces.bandwidth, dtype=float),
-    )
-    return path
-
-
-def _load_surfaces_binary(path: Path) -> DecisionSurfaces:
-    """Load a :func:`save_surfaces_binary` sidecar, refusing stale schemas.
-
-    Raises ``ValueError`` on an unreadable/truncated file or (separately
-    worded, so callers can tell refusal from corruption) on a
-    missing/unknown schema string.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            members = set(archive.files)
-            schema = (
-                str(archive["schema"][()]) if "schema" in members else None
-            )
-            if schema != SURFACE_SCHEMA:
-                raise _StaleSchemaError(
-                    f"unsupported surface schema {schema!r} in binary sidecar "
-                    f"{path} (expected {SURFACE_SCHEMA}); rebuild with "
-                    "`cli build-surfaces --binary`"
-                )
-            surfaces = DecisionSurfaces(
-                params=_params_from_dict(
-                    json.loads(str(archive["params_json"][()]))
-                ),
-                service_rate=float(archive["service_rate"][()]),
-                delay_targets=np.array(archive["delay_targets"], dtype=float),
-                max_n2=np.array(archive["max_n2"], dtype=float),
-                bandwidth=np.array(archive["bandwidth"], dtype=float),
-            )
-    except _StaleSchemaError:
-        raise
-    except (
-        OSError,
-        EOFError,
-        KeyError,
-        ValueError,
-        json.JSONDecodeError,
-        zipfile.BadZipFile,
-    ) as error:
-        raise ValueError(
-            f"binary surface sidecar {path} is unreadable or truncated: "
-            f"{error}"
-        ) from error
-    surfaces._validate()
-    return surfaces
-
-
-class _StaleSchemaError(ValueError):
-    """A sidecar whose schema is wrong — refuse, never fall back silently."""
-
-
-def load_surfaces(path: str | Path, prefer_binary: bool = True) -> DecisionSurfaces:
-    """Load a surface artifact (schema-checked), preferring the sidecar.
-
-    ``path`` may point at either transport:
-
-    * a ``.npz`` sidecar — loaded directly (no JSON fallback);
-    * a JSON artifact — when ``prefer_binary`` and the ``.npz`` sidecar
-      from :func:`save_surfaces_binary` exists next to it, the sidecar is
-      loaded instead (no JSON parse).  A *torn or truncated* sidecar falls
-      back to the JSON artifact with a ``RuntimeWarning``; a sidecar with
-      a *stale schema* refuses outright — a wrong-layout grid must never
-      be silently shadowed by a differently-versioned twin.
-    """
-    path = Path(path)
-    if path.suffix == ".npz":
-        return _load_surfaces_binary(path)
-    if prefer_binary:
-        sidecar = binary_sidecar_path(path)
-        if sidecar.exists():
-            try:
-                return _load_surfaces_binary(sidecar)
-            except _StaleSchemaError:
-                raise
-            except ValueError as error:
-                warnings.warn(
-                    f"falling back to JSON artifact {path}: {error}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    return DecisionSurfaces.from_json(path.read_text())
+def load_surfaces(path: str | Path) -> DecisionSurfaces:
+    """Load the JSON artifact at ``path``, refusing stale or malformed ones."""
+    return DecisionSurfaces.from_json(Path(path).read_bytes())

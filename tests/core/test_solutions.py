@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.control.admission_table import pinned_population_params
+from repro.core.interarrival import InterarrivalDistribution
 from repro.core.solution0 import solve_solution0
 from repro.core.solution1 import solve_solution1
 from repro.core.solution2 import condition_report, solve_solution2
+from repro.experiments.configs import base_parameters
 from repro.queueing.mm1 import solve_mm1
 
 
@@ -211,6 +214,18 @@ class TestSolution2:
     def test_unstable_load_rejected(self, small_hap):
         with pytest.raises(ValueError, match="unstable"):
             solve_solution2(small_hap, service_rate=small_hap.mean_message_rate)
+
+    def test_no_sigma_root_names_the_interarrival_condition(self):
+        """A pinned admission-mix point with lambda-bar = 0.300 < mu = 0.40
+        whose interarrival distribution has 1/E[T] = 0.5006 > mu: the walk
+        finds no interior root, and the message must not blame the mean
+        arrival rate, which is below mu."""
+        mix = pinned_population_params(base_parameters(), (0.5, 0.5))
+        assert mix.mean_message_rate < 0.40
+        assert 1.0 / InterarrivalDistribution(mix).mean() > 0.40
+        with pytest.raises(ValueError, match=r"mu \* E\[T\] <= 1") as info:
+            solve_solution2(mix, 0.40)
+        assert "mean arrival rate >=" not in str(info.value)
 
 
 class TestConditionReport:

@@ -2,10 +2,14 @@
 
 The surface build runs dozens of Solution-2 solves; building it once
 per session (module-scoped fixtures would still rebuild per file) keeps the
-service suite in seconds.
+service suite in seconds.  ``MALFORMED_ARTIFACTS`` lists the broken
+artifacts the surface loader, the CLI and the fleet's reload must refuse.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 import pytest
 
@@ -25,6 +29,29 @@ def _small_params() -> HAPParameters:
         num_message_types=1,
         name="small",
     )
+
+
+#: Schema-tagged artifacts every loader must refuse with a ``ValueError``:
+#: case -> (field, replacement or ``None`` to delete it, expected message).
+MALFORMED_ARTIFACTS = {
+    "unordered-targets": ("delay_targets", [0.9, 0.6, 1.4], "strictly increasing"),
+    "nan-target": ("delay_targets", [0.6, math.nan, 1.4], "finite"),
+    "negative-target": ("delay_targets", [-0.6, 0.9, 1.4], "positive"),
+    "1-d-max_n2": ("max_n2", [2.0, 1.0, 0.0], "2-D grid"),
+    "missing-params": ("params", None, "malformed: KeyError"),
+    "scalar-bandwidth": ("bandwidth", 1.0, "malformed: TypeError"),
+}
+
+
+def malformed_artifact(artifact: str, case: str) -> str:
+    """``artifact`` (JSON text) with one field broken as ``case`` says."""
+    field, replacement, _ = MALFORMED_ARTIFACTS[case]
+    document = json.loads(artifact)
+    if replacement is None:
+        del document[field]
+    else:
+        document[field] = replacement
+    return json.dumps(document)
 
 
 @pytest.fixture(scope="session")

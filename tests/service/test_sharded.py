@@ -1,4 +1,4 @@
-"""Tests for the SO_REUSEPORT shard fleet and its shared-memory transports.
+"""Tests for the SO_REUSEPORT shard fleet and its shared counter table.
 
 The fleet tests spawn real worker processes; one module-scoped fleet is
 shared by the read-only tests, and the chaos test (which kills a shard)
@@ -9,68 +9,20 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import time
 
-import numpy as np
 import pytest
 
 from repro.runtime.chaos import ChaosPlan
 from repro.service.client import AdmissionClient, generate_queries, run_load
 from repro.service.server import AdmissionService
-from repro.service.sharded import (
-    COUNTER_FIELDS,
-    FleetCounters,
-    ShardFleet,
-    SharedSurfaces,
-)
+from repro.service.sharded import COUNTER_FIELDS, FleetCounters, ShardFleet
 
 
 def _run(coro):
     """Drive a coroutine to completion (pytest-asyncio is not available)."""
     return asyncio.run(coro)
-
-
-class TestSharedSurfaces:
-    def test_attach_is_bit_identical(self, surfaces):
-        published = SharedSurfaces.publish(surfaces)
-        try:
-            attached = SharedSurfaces.attach(published.descriptor)
-            try:
-                twin = attached.surfaces
-                assert np.array_equal(twin.delay_targets, surfaces.delay_targets)
-                assert np.array_equal(twin.max_n2, surfaces.max_n2)
-                assert np.array_equal(twin.bandwidth, surfaces.bandwidth)
-                assert twin.service_rate == surfaces.service_rate
-                assert twin.params == surfaces.params
-            finally:
-                attached.close()
-        finally:
-            published.close()
-
-    def test_attached_grids_are_views_not_copies(self, surfaces):
-        published = SharedSurfaces.publish(surfaces)
-        try:
-            attached = SharedSurfaces.attach(published.descriptor)
-            try:
-                # Zero-copy: the attached arrays live in the shared buffer,
-                # not in per-process heap copies of the grids.
-                assert not attached.surfaces.max_n2.flags["OWNDATA"]
-                assert not attached.surfaces.delay_targets.flags["OWNDATA"]
-            finally:
-                attached.close()
-        finally:
-            published.close()
-
-    def test_stale_schema_descriptor_refused(self, surfaces):
-        published = SharedSurfaces.publish(surfaces)
-        try:
-            stale = dataclasses.replace(
-                published.descriptor, schema="repro-admission-surface/0"
-            )
-            with pytest.raises(ValueError, match="unsupported surface schema"):
-                SharedSurfaces.attach(stale)
-        finally:
-            published.close()
 
 
 class TestFleetCounters:
@@ -343,13 +295,12 @@ class TestGracefulDrain:
 
 
 class TestHotReload:
-    def test_reload_flips_generation_and_unlinks_old_segment(self, surfaces):
+    def test_reload_flips_generation_and_survives_restart(self, surfaces):
         tightened = surfaces.tightened(
             by=float(surfaces.max_population) + 2.0
         )
         with ShardFleet(surfaces, shards=2, solve_timeout=5.0) as fleet:
             host, port = fleet.address
-            old_descriptor = fleet._shared.descriptor
 
             async def probe():
                 client = await AdmissionClient.open(host, port)
@@ -370,11 +321,6 @@ class TestHotReload:
             assert after["gen"] == 1
             assert after["admit"] is False  # boundaries now all below zero
 
-            # Publish→broadcast→ack→unlink: with every shard flipped, the
-            # old generation's segment name must be gone.
-            with pytest.raises(FileNotFoundError):
-                SharedSurfaces.attach(old_descriptor)
-
             # A drained-and-restarted shard comes back on the new surfaces.
             assert fleet.drain_shard(0) is True
             fleet.restart_shard(0)
@@ -385,15 +331,10 @@ class TestHotReload:
         self, surfaces
     ):
         with ShardFleet(surfaces, shards=1, solve_timeout=5.0) as fleet:
-            shared = SharedSurfaces.publish(surfaces, generation=1)
-            try:
-                stale = dataclasses.replace(
-                    shared.descriptor, schema="repro-admission-surface/0"
-                )
-                with pytest.raises(RuntimeError, match="reload refused"):
-                    fleet._broadcast_reload(stale, 1, timeout=10.0)
-            finally:
-                shared.close()
+            stale = json.loads(surfaces.to_json())
+            stale["schema"] = "repro-admission-surface/0"
+            with pytest.raises(RuntimeError, match="reload refused"):
+                fleet._broadcast_reload(json.dumps(stale), 1, timeout=10.0)
             assert fleet.generation == 0
             host, port = fleet.address
 
@@ -407,3 +348,29 @@ class TestHotReload:
             answer = _run(probe())
             assert answer["gen"] == 0
             assert answer["admit"] is True
+
+    def test_malformed_reload_refused_promptly(self, surfaces):
+        """A 1-D ``max_n2`` is refused by every shard's decoder and acked
+        at once, instead of the supervisor waiting out its timeout."""
+        broken = dataclasses.replace(surfaces, max_n2=surfaces.max_n2[0])
+        with ShardFleet(surfaces, shards=2, solve_timeout=5.0) as fleet:
+            started = time.monotonic()
+            with pytest.raises(RuntimeError, match="reload refused"):
+                fleet.reload_surfaces(broken, timeout=20.0)
+            assert time.monotonic() - started < 5.0
+            assert fleet.generation == 0
+            host, port = fleet.address
+
+            async def probe():
+                answers = []
+                for _ in range(4):  # fresh connections reach both shards
+                    client = await AdmissionClient.open(host, port)
+                    try:
+                        answers.append(await client.admit(2.0, 0.0, 0.9))
+                    finally:
+                        await client.close()
+                return answers
+
+            for answer in _run(probe()):
+                assert answer["gen"] == 0
+                assert answer["admit"] is True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -18,12 +19,20 @@ from repro.service.surfaces import (
     _GRID_RTOL,
     SURFACE_SCHEMA,
     DecisionSurfaces,
-    binary_sidecar_path,
     build_decision_surfaces,
     load_surfaces,
     save_surfaces,
-    save_surfaces_binary,
 )
+from tests.service.conftest import MALFORMED_ARTIFACTS, malformed_artifact
+
+
+def _hex_leaves(value):
+    """Every float in a nested list/tuple as ``float.hex`` (exact bits)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hex_leaves(item) for item in value]
+    return value
 
 
 class TestBuild:
@@ -192,9 +201,25 @@ class TestArtifact:
         assert loaded.service_rate == surfaces.service_rate
         assert loaded.params == surfaces.params
 
-    def test_round_trip_preserves_infinite_bandwidth(self, surfaces):
-        import dataclasses
+    def test_round_trip_is_bit_identical(self, surfaces):
+        """Shards decode the supervisor's ``to_json`` text, so a fleet
+        answers exactly as one process only if every float64 survives."""
+        twin = dataclasses.replace(
+            surfaces.tightened(by=3.0),
+            bandwidth=np.concatenate(([math.inf], surfaces.bandwidth[1:])),
+        )
+        assert np.any(twin.max_n2 == -1.0)
+        loaded = DecisionSurfaces.from_json(twin.to_json())
+        for grid in ("delay_targets", "max_n2", "bandwidth"):
+            assert _hex_leaves(getattr(loaded, grid).tolist()) == _hex_leaves(
+                getattr(twin, grid).tolist()
+            )
+        assert loaded.service_rate.hex() == twin.service_rate.hex()
+        assert _hex_leaves(dataclasses.astuple(loaded.params)) == _hex_leaves(
+            dataclasses.astuple(twin.params)
+        )
 
+    def test_round_trip_preserves_infinite_bandwidth(self, surfaces):
         crippled = dataclasses.replace(
             surfaces,
             bandwidth=np.array([math.inf] * len(surfaces.delay_targets)),
@@ -216,80 +241,12 @@ class TestArtifact:
         with pytest.raises(ValueError, match="not valid JSON"):
             DecisionSurfaces.from_json("not json at all")
 
-    def test_corrupt_grid_refused(self, surfaces):
-        document = json.loads(surfaces.to_json())
-        document["delay_targets"] = [0.9, 0.6, 1.4]  # not increasing
-        with pytest.raises(ValueError, match="strictly increasing"):
-            DecisionSurfaces.from_json(json.dumps(document))
+    @pytest.mark.parametrize("case", MALFORMED_ARTIFACTS)
+    def test_corrupt_grid_refused(self, surfaces, case):
+        broken = malformed_artifact(surfaces.to_json(), case)
+        with pytest.raises(ValueError, match=MALFORMED_ARTIFACTS[case][2]):
+            DecisionSurfaces.from_json(broken)
         assert SURFACE_SCHEMA.startswith("repro-admission-surface/")
-
-
-class TestBinaryArtifact:
-    def test_sidecar_round_trip_is_bit_identical(self, surfaces, tmp_path):
-        path = save_surfaces_binary(surfaces, tmp_path / "surfaces.npz")
-        loaded = load_surfaces(path)
-        # Bit-identical, not merely close: the grids travel as raw float64.
-        assert np.array_equal(loaded.delay_targets, surfaces.delay_targets)
-        assert np.array_equal(loaded.max_n2, surfaces.max_n2)
-        assert np.array_equal(loaded.bandwidth, surfaces.bandwidth)
-        assert loaded.service_rate == surfaces.service_rate
-        assert loaded.params == surfaces.params
-
-    def test_sidecar_matches_json_artifact(self, surfaces, tmp_path):
-        json_path = save_surfaces(surfaces, tmp_path / "surfaces.json")
-        sidecar = save_surfaces_binary(surfaces, binary_sidecar_path(json_path))
-        assert sidecar == tmp_path / "surfaces.npz"
-        from_json = DecisionSurfaces.from_json(json_path.read_text())
-        from_binary = load_surfaces(sidecar)
-        assert np.array_equal(from_json.max_n2, from_binary.max_n2)
-        assert np.array_equal(from_json.delay_targets, from_binary.delay_targets)
-        assert np.array_equal(from_json.bandwidth, from_binary.bandwidth)
-
-    def test_json_path_prefers_existing_sidecar(self, surfaces, tmp_path):
-        json_path = save_surfaces(surfaces, tmp_path / "surfaces.json")
-        save_surfaces_binary(surfaces, binary_sidecar_path(json_path))
-        # Corrupting the JSON proves the sidecar is what actually loads.
-        json_path.write_text("definitely not json")
-        loaded = load_surfaces(json_path)
-        assert np.array_equal(loaded.max_n2, surfaces.max_n2)
-        with pytest.raises(ValueError):
-            load_surfaces(json_path, prefer_binary=False)
-
-    def test_stale_schema_sidecar_refused_not_shadowed(self, surfaces, tmp_path):
-        json_path = save_surfaces(surfaces, tmp_path / "surfaces.json")
-        sidecar = binary_sidecar_path(json_path)
-        stale = {
-            "schema": np.array("repro-admission-surface/0"),
-            "params_json": np.array("{}"),
-            "service_rate": np.array(1.0),
-            "delay_targets": np.asarray(surfaces.delay_targets),
-            "max_n2": np.asarray(surfaces.max_n2),
-            "bandwidth": np.asarray(surfaces.bandwidth),
-        }
-        np.savez(sidecar, **stale)
-        # Refusal, not silent JSON fallback: a wrong-layout sidecar next
-        # to a healthy artifact must stop the boot.
-        with pytest.raises(ValueError, match="unsupported surface schema"):
-            load_surfaces(json_path)
-        with pytest.raises(ValueError, match="unsupported surface schema"):
-            load_surfaces(sidecar)
-
-    def test_torn_sidecar_falls_back_to_json_with_warning(
-        self, surfaces, tmp_path
-    ):
-        json_path = save_surfaces(surfaces, tmp_path / "surfaces.json")
-        sidecar = save_surfaces_binary(surfaces, binary_sidecar_path(json_path))
-        payload = sidecar.read_bytes()
-        sidecar.write_bytes(payload[: len(payload) // 2])  # torn write
-        with pytest.warns(RuntimeWarning, match="falling back to JSON"):
-            loaded = load_surfaces(json_path)
-        assert np.array_equal(loaded.max_n2, surfaces.max_n2)
-
-    def test_torn_sidecar_loaded_directly_raises(self, surfaces, tmp_path):
-        sidecar = save_surfaces_binary(surfaces, tmp_path / "surfaces.npz")
-        sidecar.write_bytes(sidecar.read_bytes()[:40])
-        with pytest.raises(ValueError, match="unreadable or truncated"):
-            load_surfaces(sidecar)
 
 
 def _array_covers(surfaces, n1, delay_target):

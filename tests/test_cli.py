@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import io
+import math
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service.surfaces import SURFACE_SCHEMA, DecisionSurfaces
+from tests.service.conftest import (
+    MALFORMED_ARTIFACTS,
+    _small_params,
+    malformed_artifact,
+)
 
 SMALL = [
     "--lam", "0.05", "--mu", "0.05", "--lam1", "0.05", "--mu1", "0.05",
@@ -18,6 +26,17 @@ def run_cli(argv) -> tuple[int, str]:
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def _tiny_artifact() -> str:
+    """A valid 3 x 5 surface artifact, hand-written rather than solved."""
+    return DecisionSurfaces(
+        params=_small_params(),
+        service_rate=3.0,
+        delay_targets=np.array([0.6, 0.9, 1.4]),
+        max_n2=np.array([[2.0, 1.0, 0.0, -1.0, -1.0]] * 3),
+        bandwidth=np.array([math.inf, 2.0, 1.5]),
+    ).to_json()
 
 
 class TestAnalyze:
@@ -148,9 +167,10 @@ SUBCOMMANDS = {
 
 
 class TestRemovedFlags:
-    """``--backend`` (on every subcommand) and ``serve --exact`` are gone:
-    argparse refuses them with a usage error instead of ignoring them.
-    ``analyze --exact`` is a different flag and stays
+    """``--backend`` (on every subcommand), ``serve --exact`` and
+    ``build-surfaces --binary`` are gone: argparse refuses them with a
+    usage error instead of ignoring them.  ``analyze --exact`` is a
+    different flag and stays
     (``TestAnalyze::test_exact_flag_adds_solution0``)."""
 
     @pytest.mark.parametrize(
@@ -159,11 +179,15 @@ class TestRemovedFlags:
             [name, *required, "--backend", "dense"]
             for name, required in SUBCOMMANDS.items()
         ]
-        + [["serve", "--exact"]],
-        ids=[f"{name}-backend" for name in SUBCOMMANDS] + ["serve-exact"],
+        + [["serve", "--exact"]]
+        + [["build-surfaces", "--output", "s.json", "--binary"]],
+        ids=[f"{name}-backend" for name in SUBCOMMANDS]
+        + ["serve-exact", "build-surfaces-binary"],
     )
     def test_refused_with_usage_error(self, argv, capsys):
-        flag = next(arg for arg in argv if arg in ("--backend", "--exact"))
+        flag = next(
+            arg for arg in argv if arg in ("--backend", "--exact", "--binary")
+        )
         with pytest.raises(SystemExit) as refused:
             build_parser().parse_args(argv)
         assert refused.value.code == 2
@@ -352,6 +376,27 @@ class TestServiceCommands:
         assert code == 0
         assert "healthy" in text
 
+    @pytest.mark.parametrize("case", [*MALFORMED_ARTIFACTS, "npz-sidecar"])
+    def test_serve_refuses_malformed_artifact(self, case, tmp_path):
+        """A schema-tagged but broken artifact, or a leftover ``.npz``
+        sidecar from older builds, is a usage error, not a traceback."""
+        if case == "npz-sidecar":
+            path = tmp_path / "surfaces.npz"
+            np.savez(
+                path,
+                schema=np.array(SURFACE_SCHEMA),
+                delay_targets=np.array([0.6, 0.9]),
+                max_n2=np.full((2, 5), 3.0),
+            )
+        else:
+            path = tmp_path / "surfaces.json"
+            path.write_text(malformed_artifact(_tiny_artifact(), case))
+        code, text = run_cli(
+            ["serve", *SMALL, "--surfaces", str(path), "--smoke", "--port", "0"]
+        )
+        assert code == 2
+        assert text.startswith("error: ")
+
     def test_serve_missing_artifact_is_usage_error(self):
         code, text = run_cli(
             ["serve", *SMALL, "--surfaces", "/no/such/artifact.json",
@@ -384,22 +429,6 @@ class TestServiceCommands:
         assert "tier=degraded" in text
         assert "admit=False" in text
         assert "admit=True" not in text
-
-    def test_build_surfaces_binary_writes_sidecar(self, tmp_path):
-        path = tmp_path / "surfaces.json"
-        code, text = run_cli(
-            ["build-surfaces", *self.SURFACE, "--output", str(path),
-             "--binary"]
-        )
-        assert code == 0
-        assert "binary sidecar" in text
-        sidecar = tmp_path / "surfaces.npz"
-        assert sidecar.exists()
-        from repro.service.surfaces import load_surfaces
-
-        # The JSON path now prefers the sidecar; both must agree.
-        assert load_surfaces(sidecar).max_population == 4
-        assert load_surfaces(path).max_population == 4
 
     def test_serve_rejects_bad_shard_count(self):
         code, text = run_cli(
