@@ -3,8 +3,8 @@
 The columnar engine generates each replication's whole M/HAP-approx
 arrival stream as numpy arrays and solves the queue with the chunked
 Lindley recursion, so its events/sec ceiling is memory bandwidth, not
-Python-level event dispatch.  Campaigns under either engine name run one
-seed per job through the replication-batched kernel
+Python-level event dispatch.  Its campaigns run one seed per job through
+the replication-batched kernel
 (``repro.sim.columnar_batch``); the sequential engine
 (``repro.sim.columnar``) is the bit-identity reference.  Three benches:
 
@@ -13,8 +13,8 @@ seed per job through the replication-batched kernel
   must sustain >= 1M events/sec where the heap engine managed ~273k
   (BENCH_4).
 * ``test_columnar_batched_headline_campaign`` — the BENCH_8 gate: a
-  32-seed campaign under ``engine="columnar-batched"`` (one kernel call
-  per seed: a per-row chain walk, then thinning and Lindley) must sustain
+  32-seed columnar campaign (one kernel call per seed: a per-row chain
+  walk, then thinning and Lindley) must sustain
   >= 4M events/sec at full scale — >= 3x the single-replication
   columnar throughput recorded in BENCH_6/ROADMAP (~1.24M).  The gate
   also proves the kernel is free of statistical cost: row 0 must be
@@ -111,7 +111,6 @@ def test_columnar_batched_headline_campaign(benchmark, report, scale):
             num_replications=32,
             sim_horizon=horizon,
             max_workers=_bench_workers(),
-            engine="columnar-batched",
         ),
         extra=speedup,
     )
@@ -148,11 +147,7 @@ def test_columnar_vs_heap_agreement(benchmark, report, scale):
 
     def both():
         heap = ParallelReplicator(max_workers=workers).run(
-            partial(
-                simulate_hap_mm1, params, horizon, rng_mode="batched"
-            ),
-            4,
-            base_seed=7,
+            partial(simulate_hap_mm1, params, horizon), 4, base_seed=7
         )
         columnar = run_headline_columnar_campaign(
             num_replications=4, sim_horizon=horizon, max_workers=workers

@@ -13,14 +13,9 @@ bit-identical at any worker count, only the wall-clock changes).
 from __future__ import annotations
 
 import os
-from functools import partial
-
 from _util import run_once
 
-from repro.experiments.configs import base_parameters
 from repro.experiments.headline import run_headline, run_headline_campaign
-from repro.runtime import ParallelReplicator
-from repro.sim.replication import simulate_hap_mm1
 
 
 def _bench_workers() -> int | None:
@@ -61,34 +56,3 @@ def test_headline_replicated_campaign(benchmark, report, scale):
     assert result.campaign.failures == ()
     assert result.campaign.completed == 4
     assert result.headline.delay_solution0 > 3.0 * result.headline.delay_mm1
-
-
-def test_throughput_batched_campaign(benchmark, report, scale):
-    """Simulation-only campaign in ``rng_mode="batched"``.
-
-    The perf-trajectory counterpart of the headline campaign: same
-    parameters, seeds, and horizon, but batched draws and no analytic
-    solves, so ``BENCH_2.json`` reports the batched mode's own events/sec
-    next to the legacy headline number.
-    """
-    params = base_parameters(service_rate=20.0)
-    campaign = run_once(
-        benchmark,
-        lambda: ParallelReplicator(max_workers=_bench_workers()).run(
-            partial(
-                simulate_hap_mm1, params, 100_000.0 * scale, rng_mode="batched"
-            ),
-            4,
-            base_seed=7,
-        ),
-    )
-    mean_delay = campaign.summaries()["mean_delay"].mean
-    report(
-        "Throughput campaign, batched RNG (4-seed mean; own determinism "
-        "domain — see EXPERIMENTS.md)",
-        f"mean delay {mean_delay:.4f} s over {campaign.completed} seeds, "
-        f"{campaign.events_per_second:,.0f} events/s "
-        f"({campaign.max_workers} worker(s))",
-    )
-    assert campaign.failures == ()
-    assert campaign.completed == 4

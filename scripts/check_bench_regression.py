@@ -15,8 +15,6 @@ PR 2's issue).  The gates:
 
 * ``headline_replicated_campaign`` — ``events_per_sec`` (higher is better),
   the simulation-throughput gate from PR 2.
-* ``throughput_batched_campaign`` — ``events_per_sec`` (higher), the
-  batched-RNG engine gate.
 * ``analytic_interarrival_kernel`` — ``events_per_sec`` (higher), PR 3's
   interarrival-grid evaluations/sec through the spectral kernel layer.
 * ``headline_cross_method`` — ``wall_clock_s`` (lower is better), the
@@ -36,7 +34,7 @@ PR 2's issue).  The gates:
   ``p99_latency_ms`` (lower) — the live-solve tail must stay bounded.
 * ``columnar_batched_headline_campaign`` — ``events_per_sec`` (higher),
   PR 8's replication-batched columnar gate: the 32-seed headline
-  campaign under ``engine="columnar-batched"``, one kernel call per seed
+  columnar campaign, one kernel call per seed
   (>= 4M events/sec at full scale — >= 3x the single-replication
   columnar throughput).
 * ``service_sharded_cached_decisions`` — ``events_per_sec`` (higher),
@@ -98,7 +96,6 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / (
 #: better (throughput), "lower" means smaller is better (wall-clock).
 GATES: tuple[tuple[str, str, str], ...] = (
     ("headline_replicated_campaign", "events_per_sec", "higher"),
-    ("throughput_batched_campaign", "events_per_sec", "higher"),
     ("analytic_interarrival_kernel", "events_per_sec", "higher"),
     ("headline_cross_method", "wall_clock_s", "lower"),
     ("analytic_scale_ladder_8k", "events_per_sec", "higher"),

@@ -221,26 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
         "worker count)",
     )
     simulate.add_argument(
-        "--rng-mode",
-        choices=("legacy", "batched"),
-        default="legacy",
-        help="source draw mode: 'legacy' is bit-identical to the "
-        "pre-rewrite engine; 'batched' draws exponentials in numpy "
-        "blocks (seed- and worker-count-stable, faster, not "
-        "bit-identical to legacy)",
-    )
-    simulate.add_argument(
         "--engine",
-        choices=("heap", "columnar", "columnar-batched"),
+        choices=("heap", "columnar"),
         default="heap",
         help="simulation engine: 'heap' is the event-driven simulator; "
         "'columnar' generates the whole arrival stream as numpy arrays "
         "via the symmetric (x, y) MMPP mapping and solves the queue "
         "with a vectorized Lindley recursion — much faster, its own "
         "determinism domain, exact HAP hierarchy dynamics approximated "
-        "only by the mapping's truncation box; 'columnar-batched' is "
-        "another name for 'columnar': both run each seed as its own job "
-        "through the replication-batched kernel",
+        "only by the mapping's truncation box; each seed runs as its own "
+        "job through the replication-batched kernel",
     )
     simulate.add_argument(
         "--profile",
@@ -518,26 +508,20 @@ def _command_analyze(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _simulation_task(params, horizon: float, rng_mode: str, seed: int):
-    """Picklable campaign task for ``simulate --replications N``."""
-    from repro.sim.replication import simulate_hap_mm1
-
-    return simulate_hap_mm1(params, horizon=horizon, seed=seed, rng_mode=rng_mode)
-
-
 def _simulate_once(hap, args: argparse.Namespace):
     """One replication on the ``--engine`` the command names."""
     if args.engine != "heap":
         from repro.runtime.columnar import hap_approx_columnar_task
 
         return hap_approx_columnar_task(hap.params, args.horizon, args.seed)
-    return hap.simulate(
-        horizon=args.horizon, seed=args.seed, rng_mode=args.rng_mode
-    )
+    return hap.simulate(horizon=args.horizon, seed=args.seed)
 
 
 def _command_simulate(args: argparse.Namespace, out) -> int:
     hap = _hap_from_args(args)
+    if args.replications < 1:
+        print("error: --replications must be at least 1", file=out)
+        return 2
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=out)
         return 2
@@ -564,23 +548,26 @@ def _command_simulate(args: argparse.Namespace, out) -> int:
 def _command_simulate_campaign(args: argparse.Namespace, hap, out) -> int:
     from functools import partial
 
-    from repro.runtime.columnar import hap_approx_columnar_task
+    from repro.runtime.columnar import (
+        hap_approx_columnar_task,
+        run_columnar_campaign,
+    )
     from repro.runtime.executor import ParallelReplicator
     from repro.runtime.resilience import as_journal
+    from repro.sim.replication import simulate_hap_mm1
 
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=out)
-        return 2
     journal = as_journal(args.checkpoint)
     if journal is not None:
         # Journal keys are bare seeds; the fingerprint is what stops a
-        # resume from silently mixing determinism domains (e.g. a batched
-        # journal resumed in legacy mode, or heap rows spliced into a
-        # columnar campaign).
+        # resume from silently mixing determinism domains (heap rows
+        # spliced into a columnar campaign, say).  ``ensure_config``
+        # compares only the keys both fingerprints carry, so the heap's
+        # draw domain stays stamped: a journal from a campaign that drew
+        # ``--rng-mode batched`` (an option since removed) cannot resume.
         try:
             journal.ensure_config(
                 {
-                    "rng_mode": args.rng_mode,
+                    "rng_mode": "legacy",
                     "engine": args.engine,
                     "horizon": args.horizon,
                     "base_seed": args.seed,
@@ -590,26 +577,28 @@ def _command_simulate_campaign(args: argparse.Namespace, hap, out) -> int:
         except ValueError as error:
             print(f"error: {error}", file=out)
             return 2
+    policy = _retry_policy_from_args(args)
     if args.engine == "heap":
-        task = partial(
-            _simulation_task,
-            hap.params,
-            args.horizon,
-            args.rng_mode,
+        campaign = ParallelReplicator(
+            max_workers=args.workers,
+            policy=policy,
+            checkpoint=journal,
+            resume=args.resume,
+        ).run(
+            partial(simulate_hap_mm1, hap.params, args.horizon),
+            args.replications,
+            base_seed=args.seed,
         )
     else:
-        task = partial(hap_approx_columnar_task, hap.params, args.horizon)
-    campaign = ParallelReplicator(
-        max_workers=args.workers,
-        policy=_retry_policy_from_args(args),
-        checkpoint=journal,
-        resume=args.resume,
-        engine=args.engine,
-    ).run(
-        task,
-        args.replications,
-        base_seed=args.seed,
-    )
+        campaign = run_columnar_campaign(
+            partial(hap_approx_columnar_task, hap.params, args.horizon),
+            args.replications,
+            base_seed=args.seed,
+            max_workers=args.workers,
+            policy=policy,
+            checkpoint=journal,
+            resume=args.resume,
+        )
     if campaign.completed == 0:
         print("error: every replication failed", file=out)
         for failure in campaign.failures:

@@ -18,7 +18,10 @@ from repro.core.solution1 import solve_solution1
 from repro.core.solution2 import solve_solution2
 from repro.experiments.configs import base_parameters
 from repro.queueing.mm1 import solve_mm1
-from repro.runtime.columnar import hap_approx_columnar_task
+from repro.runtime.columnar import (
+    hap_approx_columnar_task,
+    run_columnar_campaign,
+)
 from repro.runtime.executor import CampaignResult, ParallelReplicator
 from repro.sim.replication import simulate_hap_mm1
 
@@ -220,10 +223,10 @@ def run_headline_columnar_campaign(
     kernel (:mod:`repro.sim.columnar_batch`), each worker returning its
     row of scalars to the campaign.  Each row is bit-identical to the
     sequential engine's (:mod:`repro.sim.columnar`) for the same seed.
-    ``engine`` accepts ``"columnar"`` and ``"columnar-batched"``, two names
-    for this one path.  Returns the raw campaign — callers compare its
-    ``mean_delay`` summary against the heap campaign's (the BENCH_6
-    agreement gate does exactly that).
+    ``engine`` names that one path: ``"columnar"``, or its former second
+    name ``"columnar-batched"``, still accepted.  Returns the raw
+    campaign — callers compare its ``mean_delay`` summary against the heap
+    campaign's (the BENCH_6 agreement gate does exactly that).
     """
     if engine not in ("columnar", "columnar-batched"):
         raise ValueError(
@@ -231,10 +234,11 @@ def run_headline_columnar_campaign(
             f"(got {engine!r})"
         )
     params = base_parameters(service_rate=20.0)
-    campaign = ParallelReplicator(max_workers=max_workers, engine=engine).run(
+    campaign = run_columnar_campaign(
         partial(hap_approx_columnar_task, params, sim_horizon),
         num_replications,
         base_seed=base_seed,
+        max_workers=max_workers,
     )
     campaign.raise_if_failed()
     return campaign

@@ -9,17 +9,16 @@ checkpoint journal stores it, and a resumed campaign splices the journaled
 tuple back in: fresh and resumed rows are the same numbers in the same
 form.
 
-The public entry point is :class:`~repro.runtime.executor.ParallelReplicator`
-with ``engine="columnar"`` (or :func:`run_columnar_campaign` directly);
-results come back as the same :class:`~repro.runtime.executor.CampaignResult`
-shape, with compact :class:`ColumnarReplication` records in ``results`` so
+The entry point is :func:`run_columnar_campaign`; results come back as
+the same :class:`~repro.runtime.executor.CampaignResult` shape as a
+:class:`~repro.runtime.executor.ParallelReplicator` heap campaign, with
+compact :class:`ColumnarReplication` records in ``results`` so
 ``summaries()``, ``events_processed``, and ``describe()`` all work
-unchanged.  ``engine="columnar-batched"`` is a second name for the same
-path.
+unchanged.
 
-Dispatch is one seed per job under both names: ``task(seed)`` returns one
-columnar result.  The package's own task, :func:`hap_approx_columnar_task`,
-runs that seed as a batch of one through the replication-batched kernel
+Dispatch is one seed per job: ``task(seed)`` returns one columnar
+result.  The package's own task, :func:`hap_approx_columnar_task`, runs
+that seed as a batch of one through the replication-batched kernel
 (:mod:`repro.sim.columnar_batch`), whose rows are bit-identical to the
 sequential engine's.  Timeouts, retries, failures, and checkpoint journal
 keys (``seed=<seed>``) are all per seed, so a journal resumes under any
@@ -110,8 +109,7 @@ def _columnar_worker(task: Callable, seed: int) -> tuple[float, ...]:
 def hap_approx_columnar_task(params, horizon: float, seed: int):
     """One M/HAP-approx/1 replication of ``seed`` through the columnar kernel.
 
-    The campaign task of ``simulate --engine columnar`` (or
-    ``columnar-batched``) and of
+    The campaign task of ``simulate --engine columnar`` and of
     :func:`~repro.experiments.headline.run_headline_columnar_campaign`:
     bind ``params`` and ``horizon`` with :func:`functools.partial` and it
     pickles into pool workers.  The seed runs as a batch of one through

@@ -61,7 +61,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.runtime import chaos
@@ -762,16 +762,12 @@ class ParallelReplicator:
         With ``checkpoint``, splice already-journaled replications back in
         instead of re-running them — final statistics are bit-identical to
         an uninterrupted run.
-    engine:
-        ``"heap"`` (default) ships each replication's pickled
-        :class:`~repro.sim.replication.SimulationResult` back through the
-        pool.  ``"columnar"`` and ``"columnar-batched"`` are two names for
-        one path: ``run_one(seed)`` returns a columnar result
-        (:mod:`repro.sim.columnar`), and each worker sends back only its
-        row of scalars
-        (:func:`~repro.runtime.columnar.run_columnar_campaign`) — same
-        seeds, per-seed failure, retry and checkpoint semantics, and
-        ``CampaignResult`` contract, with compact per-replication records.
+
+    Each replication's result (a heap
+    :class:`~repro.sim.replication.SimulationResult`, say) travels back
+    through the pool pickled whole.  Columnar campaigns, whose workers
+    send back only a row of scalars, run through
+    :func:`~repro.runtime.columnar.run_columnar_campaign`.
 
     Examples
     --------
@@ -787,19 +783,12 @@ class ParallelReplicator:
         policy: RetryPolicy | None = None,
         checkpoint: CheckpointJournal | str | None = None,
         resume: bool = False,
-        engine: str = "heap",
     ):
-        if engine not in ("heap", "columnar", "columnar-batched"):
-            raise ValueError(
-                "engine must be 'heap', 'columnar', or 'columnar-batched' "
-                f"(got {engine!r})"
-            )
         self.max_workers = max_workers
         self.chunk_size = chunk_size
         self.policy = policy
         self.checkpoint = checkpoint
         self.resume = resume
-        self.engine = engine
 
     def run(
         self,
@@ -816,21 +805,6 @@ class ParallelReplicator:
         :class:`RuntimeWarning` is emitted when ``max_workers > 1`` was
         explicitly requested.
         """
-        if self.engine != "heap":
-            # Imported lazily: runtime.columnar imports this module.
-            from repro.runtime.columnar import run_columnar_campaign
-
-            return run_columnar_campaign(
-                run_one,
-                num_replications,
-                base_seed=base_seed,
-                max_workers=self.max_workers,
-                chunk_size=self.chunk_size,
-                wall_clock_budget=wall_clock_budget,
-                policy=self.policy,
-                checkpoint=self.checkpoint,
-                resume=self.resume,
-            )
         seeds = derive_seeds(num_replications, base_seed)
         jobs = [
             _Job(index=k, seed=seed, task=run_one) for k, seed in enumerate(seeds)

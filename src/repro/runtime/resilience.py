@@ -13,7 +13,7 @@ reproducible), bounded by a campaign-level retry budget.
 **Process death mid-campaign** (the whole interpreter, not one worker) —
 :class:`CheckpointJournal`: a crash-safe JSONL journal with one record per
 completed unit (replication seed or grid point), written with a single
-atomic ``O_APPEND`` write and an explicit fsync policy.  Resuming splices
+atomic ``O_APPEND`` write and an fsync.  Resuming splices
 the journaled results back by key, so an interrupted campaign restarts from
 the last completed unit and its final statistics are bit-identical to an
 uninterrupted run (payloads are pickled, not re-derived).
@@ -162,10 +162,8 @@ class CheckpointJournal:
 
     Appends are a single ``os.write`` to an ``O_APPEND`` descriptor — a
     record is either fully on disk or absent, never torn across writers —
-    and ``fsync`` policy ``"always"`` (the default) flushes after every
-    record so a power cut costs at most the unit in flight.  ``"never"``
-    leaves flushing to the OS (faster for huge cheap grids, weaker
-    guarantee).  Payloads are pickled and base64-wrapped, which is what
+    and every record is fsynced, so a power cut costs at most the unit in
+    flight.  Payloads are pickled and base64-wrapped, which is what
     makes resumed statistics *bit-identical*: the stored result object is
     spliced back, not recomputed.
 
@@ -178,11 +176,8 @@ class CheckpointJournal:
     silently dropping a completed unit would change resumed statistics.
     """
 
-    def __init__(self, path: str | Path, fsync: str = "always"):
-        if fsync not in ("always", "never"):
-            raise ValueError(f"unknown fsync policy {fsync!r}; use 'always' or 'never'")
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.fsync = fsync
         self._fd: int | None = None
 
     def _descriptor(self) -> int:
@@ -202,7 +197,7 @@ class CheckpointJournal:
         elapsed: float,
         attempts: int = 1,
     ) -> None:
-        """Append one completed unit (atomic single-write + fsync policy)."""
+        """Append one completed unit (atomic single write + fsync)."""
         payload = base64.b64encode(
             pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         ).decode("ascii")
@@ -239,12 +234,14 @@ class CheckpointJournal:
         """Append the campaign's configuration fingerprint.
 
         Journal keys are bare ``seed=N`` strings, so nothing in a payload
-        says *how* a seed was run.  Resuming a ``rng_mode="batched"``
-        campaign without ``--rng-mode batched`` used to silently splice
-        batched journal rows together with legacy fresh runs — two
-        determinism domains in one "bit-identical" result.  The fingerprint
-        (JSON-scalar values only: rng_mode, engine, horizon, base_seed, …)
-        lets :meth:`ensure_config` refuse such a resume up front.
+        says *how* a seed was run.  Resuming a heap campaign's journal in a
+        columnar campaign would splice rows from two determinism domains
+        into one "bit-identical" result.  The fingerprint (JSON-scalar
+        values only: rng_mode, engine, horizon, base_seed, …) lets
+        :meth:`ensure_config` refuse such a resume up front.  The CLI
+        stamps ``rng_mode: "legacy"`` on every campaign, so a journal from
+        a campaign run under the removed ``rng_mode="batched"`` draws
+        refuses to resume too.
         """
         self._append(
             {
@@ -284,8 +281,8 @@ class CheckpointJournal:
         """Record ``config`` on a fresh journal; verify it on a resumed one.
 
         Raises ``ValueError`` naming every mismatched key when a resume
-        would mix determinism domains (e.g. a batched journal resumed in
-        legacy mode).  A resumed journal without a fingerprint (pre-
+        would mix determinism domains (e.g. a heap journal resumed by a
+        columnar campaign).  A resumed journal without a fingerprint (pre-
         fingerprint campaigns) is accepted as-is and stamped for next time.
         """
         recorded = self.load_config() if resume else None
@@ -313,8 +310,7 @@ class CheckpointJournal:
         line = json.dumps(record, separators=(",", ":")) + "\n"
         fd = self._descriptor()
         os.write(fd, line.encode("utf-8"))
-        if self.fsync == "always":
-            os.fsync(fd)
+        os.fsync(fd)
 
     def load(self) -> dict[str, CheckpointRecord]:
         """Completed units by key (later records win on duplicate keys)."""

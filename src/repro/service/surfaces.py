@@ -362,6 +362,7 @@ class DecisionSurfaces:
         return surfaces
 
     def _validate(self) -> None:
+        _check_service_rate(self.service_rate)
         targets = self.delay_targets
         if targets.ndim != 1 or len(targets) < 1:
             raise ValueError("surface needs at least one delay target")
@@ -388,6 +389,14 @@ class DecisionSurfaces:
             f"({self.grid_points} boundary entries), targets "
             f"[{self.delay_targets[0]:g}, {self.delay_targets[-1]:g}] s, "
             f"service rate {self.service_rate:g}"
+        )
+
+
+def _check_service_rate(service_rate: float) -> None:
+    """Refuse a rate no queue runs at: non-finite or not positive."""
+    if not 0.0 < service_rate < math.inf:
+        raise ValueError(
+            f"service rate must be positive and finite (got {service_rate})"
         )
 
 
@@ -464,6 +473,7 @@ def build_decision_surfaces(
         raise ValueError("delay targets must be positive")
     if service_rate is None:
         service_rate = params.common_service_rate()
+    _check_service_rate(service_rate)
 
     from repro.runtime.analytic import run_analytic_sweep
 

@@ -33,7 +33,6 @@ __all__ = _lazy_exports(
             "sample_mmpp_stream",
             "sample_poisson_stream",
             "simulate_hap_approx_columnar",
-            "simulate_hap_columnar",
             "simulate_mmpp_columnar",
             "simulate_poisson_columnar",
         ),

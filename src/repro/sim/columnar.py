@@ -34,28 +34,28 @@ Semantics contract (mirrors the heap engine observable-for-observable)
 * ``events_processed`` counts arrivals, in-horizon departures, and
   modulating-chain jumps — the columnar analog of the heap's fired events.
 
-Determinism contract (a third domain, beside ``legacy`` and ``batched``)
-------------------------------------------------------------------------
+Determinism contract (a second domain, beside the event heap's)
+---------------------------------------------------------------
 All variates come from one :class:`~repro.sim.random_streams.RandomStreams`
 pair of named substreams (``"columnar-source"``, ``"columnar-server"``) in a
 fixed draw order: modulating-chain sojourns and jump targets first, then
 candidate gaps, then thinning uniforms, then service times.  Results are
 seed-stable and worker-count-stable; they are **not** bit-identical to
-either heap domain (block boundaries change bit-stream consumption), and
+the heap engine (block boundaries change bit-stream consumption), and
 the ``block_size`` is part of the contract — changing it changes the
 variates.  The chunk size of the Lindley recursion is *not* part of the
 contract: it only reassociates floating-point sums (see
 :func:`lindley_waits`), never which variates are drawn.
 
-Fallback rule
--------------
+Scope
+-----
 Columnar generation covers sources whose arrival process is fully
 determined by a finite modulating chain (Poisson, MMPP, and the symmetric
 HAP through its Section-3.1 ``(x, y)`` MMPP mapping).  State-*dependent*
-dynamics — lifetime-distribution overrides, client–server feedback — need
-the event heap; :func:`simulate_hap_columnar` falls back to
-:func:`~repro.sim.replication.simulate_hap_mm1` for those and records the
-fallback in ``extras["engine"]``.
+dynamics — lifetime-distribution overrides, client–server feedback — have
+no such chain; run them on the event heap by driving
+:class:`~repro.sim.sources.HAPSource` directly (as
+:mod:`repro.experiments.extensions` does for heavy-tailed lifetimes).
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ __all__ = [
     "sample_mmpp_stream",
     "sample_poisson_stream",
     "simulate_hap_approx_columnar",
-    "simulate_hap_columnar",
     "simulate_mmpp_columnar",
     "simulate_poisson_columnar",
     # Served on first use: the batch engine imports this module.
@@ -664,74 +663,4 @@ def simulate_hap_approx_columnar(
         chunk_size=chunk_size,
     )
     result.extras["source"] = "hap-approx"
-    return result
-
-
-def simulate_hap_columnar(
-    params: HAPParameters,
-    horizon: float,
-    seed: int = 0,
-    service_rate: float | None = None,
-    warmup: float | None = None,
-    user_lifetime=None,
-    app_lifetime=None,
-    rng_mode: str = "batched",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> SimulationResult:
-    """Columnar HAP simulation with the documented heap fallback.
-
-    Plain exponential HAP dynamics route through
-    :func:`simulate_hap_approx_columnar`.  Lifetime-distribution overrides
-    make the source state-dependent in a way no finite modulating chain
-    captures, so those runs fall back to the event heap (a
-    :class:`~repro.sim.sources.HAPSource` driving a
-    :class:`~repro.sim.server.FCFSQueue`, exactly as
-    :func:`~repro.sim.replication.simulate_hap_mm1` wires them) with
-    ``extras["engine"] = "heap-fallback"`` recording the downgrade.
-    ``rng_mode`` applies only on the fallback path.
-    """
-    if user_lifetime is None and app_lifetime is None:
-        return simulate_hap_approx_columnar(
-            params,
-            horizon,
-            seed=seed,
-            service_rate=service_rate,
-            warmup=warmup,
-            block_size=block_size,
-            chunk_size=chunk_size,
-        )
-    from repro.sim.engine import Simulator
-    from repro.sim.random_streams import Exponential
-    from repro.sim.replication import _collect
-    from repro.sim.server import FCFSQueue
-    from repro.sim.sources import HAPSource
-
-    if service_rate is None:
-        service_rate = params.common_service_rate()
-    if warmup is None:
-        warmup = min(10.0 / params.user_departure_rate, 0.1 * horizon)
-    _validate_window(horizon, warmup)
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    queue = FCFSQueue(
-        sim, Exponential(service_rate), streams.get("server"), warmup=warmup
-    )
-    source = HAPSource(
-        sim,
-        params,
-        streams.get("hap-source"),
-        queue.arrive,
-        track_populations=False,
-        user_lifetime=user_lifetime,
-        app_lifetime=app_lifetime,
-        rng_mode=rng_mode,
-    )
-    source.prepopulate()
-    source.start()
-    sim.run_until(horizon)
-    queue.finalize()
-    result = _collect(queue, horizon, warmup, collect_busy_periods=False)
-    result.extras["engine"] = "heap-fallback"
-    result.extras["fallback_reason"] = "state-dependent lifetime overrides"
     return result

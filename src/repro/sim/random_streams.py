@@ -72,33 +72,32 @@ class RandomStreams:
 
 
 class ExponentialBatcher:
-    """Unit-exponential variates drawn in numpy blocks, served one at a time.
+    """Unit-exponential variates drawn in numpy blocks.
 
-    The engine behind ``rng_mode="batched"`` (see
-    :class:`repro.sim.sources.HAPSource`) and the block-draw substrate of
-    the columnar execution mode (:mod:`repro.sim.columnar`): instead of one
-    ``Generator.exponential`` call per event — whose per-call overhead
-    dominates Markov-modulated arrival simulation — a block of
-    ``standard_exponential`` variates is drawn at once and handed out as
-    plain Python floats, scaled by the requested mean.
+    The block-draw substrate of the sequential columnar engine
+    (:mod:`repro.sim.columnar`): a block of ``standard_exponential``
+    variates is drawn at once and served as an array (:meth:`draw_block`)
+    or one plain Python float at a time (:meth:`draw`), scaled by the
+    requested mean.
 
-    Determinism contract (different from the legacy per-call domain):
+    Determinism contract (the columnar engine's, not the event heap's):
 
     * **seed-stable** — the same seed always yields the same variate
       sequence, because draws come from one generator in one fixed order;
     * **worker-count-stable** — each replication owns its generator, so the
       process-pool fan-out cannot interleave blocks across seeds;
-    * **not bit-identical to legacy** — the block boundary changes the
-      underlying bit-stream consumption, so individual variates differ from
-      per-call draws even at the same seed.  Distributions are identical
+    * **not bit-identical to per-call draws** — the block boundary changes
+      the underlying bit-stream consumption, so individual variates differ
+      from ``Generator.exponential`` calls (the heap sources' draws) even
+      at the same seed.  Distributions are identical
       (``exponential(scale)`` is ``scale * standard_exponential()``).
 
     Means are validated *at draw time*: a nonpositive, NaN, or infinite
     mean raises immediately instead of emitting inf/NaN interarrivals.  The
-    legacy per-call path is guarded downstream by
+    heap sources are guarded downstream by
     :meth:`repro.sim.engine.Simulator.schedule`, but block-drawn variates
-    can bypass the event heap entirely (the columnar engine never
-    schedules), so the batcher is the last line of defence.
+    bypass the event heap entirely (the columnar engine never schedules),
+    so the batcher is the last line of defence.
     """
 
     __slots__ = ("_rng", "_block_size", "_block", "_index")

@@ -82,7 +82,6 @@ def simulate_hap_mm1(
     trace_stride: int = 0,
     population_trace_stride: int = 0,
     collect_busy_periods: bool = False,
-    rng_mode: str = "legacy",
 ) -> SimulationResult:
     """Simulate a HAP feeding an exponential FCFS server.
 
@@ -109,12 +108,6 @@ def simulate_hap_mm1(
         Record user/app population traces (Figures 16–17).
     collect_busy_periods:
         Compute :class:`~repro.sim.busy_periods.BusyPeriodStats`.
-    rng_mode:
-        Source draw mode: ``"legacy"`` (default, bit-identical to the
-        pre-rewrite engine) or ``"batched"`` (numpy-block draws —
-        seed-stable and worker-count-stable, its own determinism domain;
-        see :class:`~repro.sim.sources.HAPSource`).  Server service draws
-        stay per-call in both modes.
     """
     if service_rate is None:
         service_rate = params.common_service_rate()
@@ -140,7 +133,6 @@ def simulate_hap_mm1(
         queue.arrive,
         track_populations=True,
         trace_stride=population_trace_stride,
-        rng_mode=rng_mode,
     )
     if prepopulate:
         source.prepopulate()

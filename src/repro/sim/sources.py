@@ -34,7 +34,6 @@ from repro.markov.ctmc import sample_embedded_jump
 from repro.markov.mmpp import MMPP
 from repro.sim.engine import Event, Simulator
 from repro.sim.monitors import TimeWeightedValue, TraceRecorder
-from repro.sim.random_streams import ExponentialBatcher
 from repro.sim.server import Message
 
 __all__ = [
@@ -49,29 +48,6 @@ __all__ = [
 EmitFn = Callable[[Message], None]
 
 
-def _make_draw(rng: np.random.Generator, rng_mode: str):
-    """The mean -> variate sampler for the requested determinism domain.
-
-    ``"legacy"`` draws one ``Generator.exponential`` per event — the
-    bit-exact pre-rewrite stream.  ``"batched"`` serves variates from
-    :class:`~repro.sim.random_streams.ExponentialBatcher` blocks:
-    seed-stable and worker-count-stable, but a different (documented)
-    determinism domain that is not bit-identical to legacy.
-    """
-    if rng_mode == "legacy":
-        exponential = rng.exponential
-
-        def draw(mean: float) -> float:
-            return float(exponential(mean))
-
-        return draw
-    if rng_mode == "batched":
-        return ExponentialBatcher(rng).draw
-    raise ValueError(
-        f"rng_mode must be 'legacy' or 'batched', got {rng_mode!r}"
-    )
-
-
 class PoissonSource:
     """Poisson arrivals at a fixed rate."""
 
@@ -81,7 +57,6 @@ class PoissonSource:
         rate: float,
         rng: np.random.Generator,
         emit: EmitFn,
-        rng_mode: str = "legacy",
     ):
         if rate <= 0:
             raise ValueError("rate must be positive")
@@ -91,7 +66,7 @@ class PoissonSource:
         self.emit = emit
         self.messages_emitted = 0
         self._mean_gap = 1.0 / rate
-        self._draw = _make_draw(rng, rng_mode)
+        self._draw = rng.exponential  # mean -> Python float variate
         self._arrive_action = self._arrive  # bind once, reuse every event
 
     def start(self) -> None:
@@ -246,14 +221,6 @@ class HAPSource:
         self-similar-traffic literature later walked through.  Arrival
         *rates* stay exponential so Equation 4's mean rate still applies
         (rate x mean lifetime is what enters the load).
-    rng_mode:
-        ``"legacy"`` (default) draws one exponential per event and is
-        bit-identical to the pre-rewrite engine at every seed.
-        ``"batched"`` draws variates in numpy blocks
-        (:class:`~repro.sim.random_streams.ExponentialBatcher`): a distinct
-        determinism domain — seed-stable and worker-count-stable, but not
-        bit-identical to legacy.  Lifetime-override draws and prepopulation
-        Poisson draws stay on the per-call path in both modes.
 
     Notes
     -----
@@ -264,9 +231,9 @@ class HAPSource:
     Hot-path layout (PR 2): every recurring callback is a reusable
     ``__slots__`` callable (:class:`_Invocation`, :class:`_Emission`, the
     instance records themselves for departures) instead of a per-event
-    closure, and all ``1/rate`` means are precomputed once.  In legacy mode
-    the draw order and schedule order are exactly the pre-rewrite ones —
-    the golden-trace test locks this.
+    closure, and all ``1/rate`` means are precomputed once.  The draw order
+    and schedule order are exactly the pre-rewrite ones — the golden-trace
+    test locks this.
     """
 
     def __init__(
@@ -279,7 +246,6 @@ class HAPSource:
         trace_stride: int = 0,
         user_lifetime=None,
         app_lifetime=None,
-        rng_mode: str = "legacy",
     ):
         self.sim = sim
         self.params = params
@@ -287,7 +253,6 @@ class HAPSource:
         self.emit = emit
         self.user_lifetime = user_lifetime
         self.app_lifetime = app_lifetime
-        self.rng_mode = rng_mode
         self.users_present = 0
         self.apps_alive = 0
         self.apps_alive_by_type = [0] * params.num_app_types
@@ -300,7 +265,9 @@ class HAPSource:
         )
         self.user_trace = TraceRecorder(trace_stride) if trace_stride else None
         self.app_trace = TraceRecorder(trace_stride) if trace_stride else None
-        self._draw = _make_draw(rng, rng_mode)
+        # One Generator.exponential call (mean -> Python float) per draw:
+        # the stream tests/sim/test_golden_trace.py locks.
+        self._draw = rng.exponential
         # Per-level mean-gap (1/rate) tables, computed once.
         self._user_arrival_mean = 1.0 / params.user_arrival_rate
         self._user_lifetime_mean = 1.0 / params.user_departure_rate

@@ -70,18 +70,11 @@ class TestCampaign:
         assert serial.seeds == pooled.seeds
         assert serial.results == pooled.results  # frozen dataclass equality
 
-    def test_engine_dispatch_through_parallel_replicator(self):
-        direct = run_columnar_campaign(
-            _columnar_task, 2, base_seed=5, max_workers=1
-        )
-        via_replicator = ParallelReplicator(
-            max_workers=1, engine="columnar"
-        ).run(_columnar_task, 2, base_seed=5)
-        assert direct.results == via_replicator.results
-
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            ParallelReplicator(engine="gpu")
+        # ParallelReplicator runs heap campaigns only; columnar campaigns
+        # have their own entry point, run_columnar_campaign.
+        with pytest.raises(TypeError, match="engine"):
+            ParallelReplicator(engine="columnar")
 
     def test_failures_are_captured_not_fatal(self):
         campaign = run_columnar_campaign(
@@ -178,25 +171,12 @@ class TestBatchedCampaign:
         assert serial.results == pooled.results == chunked.results
         assert serial.seeds == pooled.seeds == chunked.seeds
 
-    def test_engine_dispatch_through_parallel_replicator(self):
-        direct = run_columnar_campaign(
-            _kernel_task, 3, base_seed=5, max_workers=1
-        )
-        # Both engine names select the same path.
-        for engine in ("columnar", "columnar-batched"):
-            via_replicator = ParallelReplicator(
-                max_workers=1, engine=engine
-            ).run(_kernel_task, 3, base_seed=5)
-            assert direct.results == via_replicator.results
-
-    def test_rejects_unknown_engine_naming_the_batched_one(self):
-        with pytest.raises(ValueError, match="columnar-batched"):
-            ParallelReplicator(engine="batched")
-
     def test_a_failing_seed_fails_alone(self):
-        campaign = ParallelReplicator(
-            max_workers=1, engine="columnar-batched"
-        ).run(_failing_task, 4, base_seed=0)
+        # Through the pool: the failure crosses the process boundary as a
+        # record, not a crash (the serial path is tested above).
+        campaign = run_columnar_campaign(
+            _failing_task, 4, base_seed=0, max_workers=2
+        )
         assert campaign.seeds == (0, 1, 3)
         assert [failure.seed for failure in campaign.failures] == [2]
         assert "injected failure" in campaign.failures[0].traceback
@@ -205,15 +185,17 @@ class TestBatchedCampaign:
         self, tmp_path
     ):
         journal = str(tmp_path / "batched.jsonl")
-        first = ParallelReplicator(
-            max_workers=1, checkpoint=journal, engine="columnar-batched"
-        ).run(_kernel_task, 4, base_seed=0)
-        resumed = ParallelReplicator(
+        first = run_columnar_campaign(
+            _kernel_task, 4, base_seed=0, max_workers=1, checkpoint=journal
+        )
+        resumed = run_columnar_campaign(
+            _kernel_task,
+            6,
+            base_seed=0,
             max_workers=2,
             checkpoint=journal,
             resume=True,
-            engine="columnar-batched",
-        ).run(_kernel_task, 6, base_seed=0)
+        )
         assert resumed.resumed == 4
         assert resumed.completed == 6
         assert resumed.results[:4] == first.results

@@ -40,6 +40,9 @@ MALFORMED_ARTIFACTS = {
     "1-d-max_n2": ("max_n2", [2.0, 1.0, 0.0], "2-D grid"),
     "missing-params": ("params", None, "malformed: KeyError"),
     "scalar-bandwidth": ("bandwidth", 1.0, "malformed: TypeError"),
+    "negative-service-rate": ("service_rate", -3.0, "service rate must be"),
+    "zero-service-rate": ("service_rate", 0.0, "service rate must be"),
+    "nan-service-rate": ("service_rate", math.nan, "service rate must be"),
 }
 
 

@@ -18,6 +18,7 @@ from repro.runtime.chaos import ChaosPlan
 from repro.service.client import AdmissionClient, generate_queries, run_load
 from repro.service.server import AdmissionService
 from repro.service.sharded import COUNTER_FIELDS, FleetCounters, ShardFleet
+from tests.service.conftest import MALFORMED_ARTIFACTS, malformed_artifact
 
 
 def _run(coro):
@@ -348,6 +349,15 @@ class TestHotReload:
             answer = _run(probe())
             assert answer["gen"] == 0
             assert answer["admit"] is True
+
+    @pytest.mark.parametrize("case", MALFORMED_ARTIFACTS)
+    def test_malformed_artifact_reload_refused(self, surfaces, case):
+        broken = malformed_artifact(surfaces.to_json(), case)
+        with ShardFleet(surfaces, shards=1, solve_timeout=5.0) as fleet:
+            with pytest.raises(RuntimeError, match="reload refused") as refusal:
+                fleet._broadcast_reload(broken, 1, timeout=10.0)
+            assert MALFORMED_ARTIFACTS[case][2] in str(refusal.value)
+            assert fleet.generation == 0
 
     def test_malformed_reload_refused_promptly(self, surfaces):
         """A 1-D ``max_n2`` is refused by every shard's decoder and acked

@@ -74,6 +74,11 @@ class TestBuild:
             build_decision_surfaces(surface_params, ())
         with pytest.raises(ValueError, match="positive"):
             build_decision_surfaces(surface_params, (-0.5,))
+        for rate in (-3.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="service rate must be"):
+                build_decision_surfaces(
+                    surface_params, (0.6,), service_rate=rate
+                )
 
     def test_rebuild_is_all_cache_hits(self, surfaces, surface_params):
         """The memoized probes make a repeat build solve-free (satellite 1)."""

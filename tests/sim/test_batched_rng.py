@@ -1,67 +1,19 @@
-"""Validation of the batched RNG mode against the paper's closed forms.
+"""Tests for :class:`~repro.sim.random_streams.ExponentialBatcher`.
 
-``rng_mode="batched"`` draws exponentials in numpy blocks
-(:class:`~repro.sim.random_streams.ExponentialBatcher`) instead of one at a
-time.  That changes the draw order, so it cannot be bit-identical to the
-legacy mode the golden trace locks (``tests/sim/test_golden_trace.py``).
-Its contract is instead:
-
-* **seed-stable** — the same seed reproduces the same trace, bitwise;
-* **worker-count-stable** — a replication campaign gives bit-identical
-  results at any ``max_workers``;
-* **statistically faithful** — the generated process matches the paper's
-  closed forms: mean message rate (Equation 4–5) and the interarrival-time
-  tail ``Abar(t)`` (Equations 7–11).
-
-This file is the proof of all three.
+The batcher draws unit exponentials in numpy blocks and serves them as
+arrays or one float at a time; the sequential columnar engine
+(:mod:`repro.sim.columnar`) takes its sojourns and candidate gaps from it.
+Block boundaries change bit-stream consumption, so its variates are not
+the heap sources' per-call draws even at the same seed — they are the
+columnar engine's own determinism domain.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pytest
 
-from repro.core.interarrival import InterarrivalDistribution
-from repro.core.params import HAPParameters
-from repro.runtime import ParallelReplicator
-from repro.sim.engine import Simulator
-from repro.sim.random_streams import ExponentialBatcher, RandomStreams
-from repro.sim.replication import simulate_hap_mm1
-from repro.sim.sources import HAPSource
-
-
-def _paper_base() -> HAPParameters:
-    return HAPParameters.symmetric(
-        user_arrival_rate=0.0055,
-        user_departure_rate=0.001,
-        app_arrival_rate=0.01,
-        app_departure_rate=0.01,
-        message_arrival_rate=0.1,
-        message_service_rate=20.0,
-        num_app_types=5,
-        num_message_types=3,
-        name="batched-validation",
-    )
-
-
-def _arrival_times(seed: int, horizon: float, rng_mode: str = "batched"):
-    """Message arrival instants of one prepopulated source-only run."""
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    times: list[float] = []
-    source = HAPSource(
-        sim,
-        _paper_base(),
-        streams.get("hap-source"),
-        lambda message: times.append(message.arrival_time),
-        rng_mode=rng_mode,
-    )
-    source.prepopulate()
-    source.start()
-    sim.run_until(horizon)
-    return np.asarray(times)
+from repro.sim.random_streams import ExponentialBatcher
 
 
 class TestExponentialBatcher:
@@ -113,74 +65,3 @@ class TestExponentialBatcher:
         batcher = ExponentialBatcher(np.random.default_rng(0))
         with pytest.raises(ValueError, match="count"):
             batcher.draw_block(-1, 1.0)
-
-
-class TestDeterminismContract:
-    def test_seed_stable(self):
-        first = _arrival_times(31, 1500.0)
-        second = _arrival_times(31, 1500.0)
-        np.testing.assert_array_equal(first, second)
-
-    def test_distinct_seeds_differ(self):
-        assert not np.array_equal(
-            _arrival_times(31, 1500.0), _arrival_times(32, 1500.0)
-        )
-
-    def test_batched_is_a_different_domain_than_legacy(self):
-        batched = _arrival_times(31, 1500.0, "batched")
-        legacy = _arrival_times(31, 1500.0, "legacy")
-        assert not np.array_equal(batched, legacy)
-        # ... but the same seed still describes a comparable process.
-        assert 0.3 < len(batched) / len(legacy) < 3.0
-
-    def test_worker_count_stable(self):
-        task = partial(
-            simulate_hap_mm1, _paper_base(), 300.0, rng_mode="batched"
-        )
-        serial = ParallelReplicator(max_workers=1).run(task, 4, base_seed=9)
-        parallel = ParallelReplicator(max_workers=2).run(task, 4, base_seed=9)
-        assert serial.seeds == parallel.seeds
-        assert [r.mean_delay for r in serial.results] == [
-            r.mean_delay for r in parallel.results
-        ]
-        assert [r.events_processed for r in serial.results] == [
-            r.events_processed for r in parallel.results
-        ]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="rng_mode"):
-            _arrival_times(31, 10.0, rng_mode="vectorised")
-
-
-class TestClosedFormValidation:
-    """Statistical agreement with Equations 4–5 and 7–11 of the paper."""
-
-    SEEDS = range(100, 116)
-    HORIZON = 6000.0
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        return [_arrival_times(seed, self.HORIZON) for seed in self.SEEDS]
-
-    def test_mean_message_rate_matches_equation_4(self, runs):
-        # Per-replication rates vary a lot (user lifetimes are 1000 s, so
-        # one run rides a handful of user-population excursions); the test
-        # is on the ensemble mean, within 4 standard errors of lambda-bar.
-        params = _paper_base()
-        rates = np.array([len(times) / self.HORIZON for times in runs])
-        stderr = rates.std(ddof=1) / np.sqrt(len(rates))
-        assert abs(rates.mean() - params.mean_message_rate) < 4.0 * stderr
-
-    def test_interarrival_tail_matches_equations_7_to_11(self, runs):
-        # Pooled empirical ccdf of successive gaps against the closed-form
-        # Abar(t).  Checkpoints bracket the bulk and the tail of the
-        # distribution (mean gap is 1/8.25 ~ 0.12 s); the 0.04 tolerance
-        # absorbs finite-ensemble bias while still failing for any
-        # wrong-scale or wrong-shape draw stream.
-        dist = InterarrivalDistribution(_paper_base())
-        gaps = np.concatenate([np.diff(times) for times in runs])
-        assert len(gaps) > 100_000
-        checkpoints = np.array([0.02, 0.05, 0.1, 0.2, 0.3])
-        closed_form = dist.ccdf(checkpoints)
-        empirical = np.array([(gaps > t).mean() for t in checkpoints])
-        np.testing.assert_allclose(empirical, closed_form, atol=0.04)

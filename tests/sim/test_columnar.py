@@ -29,12 +29,11 @@ from repro.sim.columnar import (
     sample_mmpp_stream,
     sample_poisson_stream,
     simulate_hap_approx_columnar,
-    simulate_hap_columnar,
     simulate_mmpp_columnar,
     simulate_poisson_columnar,
 )
 from repro.sim.engine import Simulator
-from repro.sim.random_streams import Deterministic, Pareto
+from repro.sim.random_streams import Deterministic
 from repro.sim.server import FCFSQueue, Message
 
 
@@ -377,23 +376,9 @@ class TestHAPColumnar:
         from repro.experiments.configs import base_parameters
 
         params = base_parameters(service_rate=20.0)
-        result = simulate_hap_columnar(params, 5_000.0, seed=1)
+        result = simulate_hap_approx_columnar(params, 5_000.0, seed=1)
         assert result.extras["engine"] == "columnar"
         assert result.extras["source"] == "hap-approx"
-
-    def test_lifetime_override_falls_back_to_heap(self):
-        from repro.experiments.configs import base_parameters
-
-        params = base_parameters(service_rate=20.0)
-        result = simulate_hap_columnar(
-            params,
-            2_000.0,
-            seed=1,
-            app_lifetime=Pareto(shape=2.5, scale=60.0),
-        )
-        assert result.extras["engine"] == "heap-fallback"
-        assert "lifetime" in result.extras["fallback_reason"]
-        assert result.messages_served > 0
 
 
 class TestEmbeddedRowsVectorized:

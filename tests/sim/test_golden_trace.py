@@ -1,16 +1,17 @@
-"""Golden-trace regression lock for the legacy simulation hot path.
+"""Golden-trace regression lock for the event-heap simulation hot path.
 
 The PR-2 hot-path rewrite (tuple heap, bound-method events, rate tables)
-promises that the **default (legacy) RNG mode is bit-identical** to the
-pre-rewrite engine.  This test is the proof: it replays a seeded short
-HAP/M/1 replication and asserts a SHA-256 hash over the exact
-``(event-time, delay)`` float sequence, captured from the pre-rewrite code
-(commit 4141506).  Any change to the draw order, event ordering, or float
-arithmetic on the default path changes the hash and fails loudly.
+promises that the heap engine's draws — one exponential per event — are
+**bit-identical** to the pre-rewrite engine.  This test is the proof: it
+replays a seeded short HAP/M/1 replication and asserts a SHA-256 hash over
+the exact ``(event-time, delay)`` float sequence, captured from the
+pre-rewrite code (commit 4141506).  Any change to the draw order, event
+ordering, or float arithmetic changes the hash and fails loudly.
 
-``rng_mode="batched"`` is a *different, documented* determinism domain
-(seed-stable, worker-count-stable, not legacy-bit-identical) and is
-validated statistically in ``tests/sim/test_batched_rng.py`` instead.
+The same draws are checked against the paper's closed forms (Equations 4
+and 7–11) in ``tests/sim/test_sources.py``.  The columnar engine is a
+different determinism domain with its own locks
+(``tests/sim/test_columnar_digests.py``).
 """
 
 from __future__ import annotations

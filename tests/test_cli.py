@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.resilience import CheckpointJournal
 from repro.service.surfaces import SURFACE_SCHEMA, DecisionSurfaces
 from tests.service.conftest import (
     MALFORMED_ARTIFACTS,
@@ -142,16 +143,16 @@ class TestSimulate:
         _, profiled = run_cli([*base, "--profile"])
         assert plain.splitlines() == profiled.splitlines()[-len(plain.splitlines()):]
 
-    def test_rng_mode_batched_runs_and_is_seed_stable(self):
-        base = [
-            "simulate", *SMALL, "--horizon", "1000", "--seed", "5",
-            "--rng-mode", "batched",
+    @pytest.mark.parametrize("replications", ["0", "-3"])
+    def test_rejects_fewer_than_one_replication(self, replications):
+        code, text = run_cli(
+            ["simulate", *SMALL, "--horizon", "1000",
+             "--replications", replications]
+        )
+        assert code == 2
+        assert text.splitlines() == [
+            "error: --replications must be at least 1"
         ]
-        code, first = run_cli(base)
-        _, second = run_cli(base)
-        assert code == 0
-        assert "mean delay" in first
-        assert first == second
 
 
 #: Each subcommand with the arguments it requires.
@@ -167,10 +168,10 @@ SUBCOMMANDS = {
 
 
 class TestRemovedFlags:
-    """``--backend`` (on every subcommand), ``serve --exact`` and
-    ``build-surfaces --binary`` are gone: argparse refuses them with a
-    usage error instead of ignoring them.  ``analyze --exact`` is a
-    different flag and stays
+    """``--backend`` (on every subcommand), ``serve --exact``,
+    ``build-surfaces --binary`` and ``simulate --rng-mode`` are gone:
+    argparse refuses them with a usage error instead of ignoring them.
+    ``analyze --exact`` is a different flag and stays
     (``TestAnalyze::test_exact_flag_adds_solution0``)."""
 
     @pytest.mark.parametrize(
@@ -180,13 +181,16 @@ class TestRemovedFlags:
             for name, required in SUBCOMMANDS.items()
         ]
         + [["serve", "--exact"]]
-        + [["build-surfaces", "--output", "s.json", "--binary"]],
+        + [["build-surfaces", "--output", "s.json", "--binary"]]
+        + [["simulate", "--rng-mode", "batched"]],
         ids=[f"{name}-backend" for name in SUBCOMMANDS]
-        + ["serve-exact", "build-surfaces-binary"],
+        + ["serve-exact", "build-surfaces-binary", "simulate-rng-mode"],
     )
     def test_refused_with_usage_error(self, argv, capsys):
         flag = next(
-            arg for arg in argv if arg in ("--backend", "--exact", "--binary")
+            arg
+            for arg in argv
+            if arg in ("--backend", "--exact", "--binary", "--rng-mode")
         )
         with pytest.raises(SystemExit) as refused:
             build_parser().parse_args(argv)
@@ -308,10 +312,16 @@ class TestColumnarEngine:
         with pytest.raises(SystemExit):
             run_cli(["simulate", "--engine", "quantum", "--horizon", "100"])
 
-    @pytest.mark.parametrize(
-        "engine, module",
-        [("columnar", "columnar"), ("columnar-batched", "columnar_batch")],
-    )
+    def test_former_columnar_batched_name_is_a_usage_error(self, capsys):
+        # The columnar engine has one name; its old second one is refused.
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(
+                ["simulate", "--engine", "columnar-batched"]
+            )
+        assert refused.value.code == 2
+        assert "invalid choice: 'columnar-batched'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine, module", [("columnar", "columnar")])
     def test_profile_runs_the_selected_engine(self, engine, module):
         base = ["simulate", "--engine", engine, "--horizon", "2000",
                 "--seed", "3"]
@@ -529,12 +539,20 @@ class TestServiceCommands:
 
 class TestConfigFingerprintFlags:
     def test_mismatched_rng_mode_resume_exits_2(self, tmp_path):
+        # A journal written by a campaign that ran the heap on block-drawn
+        # variates (``--rng-mode batched``, since removed): its rows must
+        # not splice into a campaign on today's per-event draws.
         journal = str(tmp_path / "campaign.jsonl")
-        base = ["simulate", *SMALL, "--horizon", "2000", "--seed", "7",
-                "--replications", "2", "--checkpoint", journal]
-        code, _ = run_cli([*base, "--rng-mode", "batched"])
-        assert code == 0
-        code, text = run_cli([*base, "--rng-mode", "legacy", "--resume"])
+        with CheckpointJournal(journal) as old:
+            old.record_config(
+                {"rng_mode": "batched", "engine": "heap", "horizon": 2000.0,
+                 "base_seed": 7}
+            )
+            old.record(key="seed=7", index=0, seed=7, value=0.1, elapsed=0.1)
+        code, text = run_cli(
+            ["simulate", *SMALL, "--horizon", "2000", "--seed", "7",
+             "--replications", "2", "--checkpoint", journal, "--resume"]
+        )
         assert code == 2
         assert "determinism domains" in text
         assert "rng_mode" in text
@@ -553,7 +571,7 @@ class TestConfigFingerprintFlags:
         self, tmp_path
     ):
         journal = str(tmp_path / "campaign.jsonl")
-        base = ["simulate", "--engine", "columnar-batched", "--horizon",
+        base = ["simulate", "--engine", "columnar", "--horizon",
                 "2000", "--seed", "7", "--checkpoint", journal]
         code, _ = run_cli([*base, "--replications", "4", "--workers", "1"])
         assert code == 0
@@ -566,8 +584,7 @@ class TestConfigFingerprintFlags:
     def test_matching_resume_still_splices(self, tmp_path):
         journal = str(tmp_path / "campaign.jsonl")
         argv = ["simulate", *SMALL, "--horizon", "2000", "--seed", "7",
-                "--replications", "2", "--checkpoint", journal,
-                "--rng-mode", "batched"]
+                "--replications", "2", "--checkpoint", journal]
         code, _ = run_cli(argv)
         assert code == 0
         code, text = run_cli([*argv, "--resume"])
